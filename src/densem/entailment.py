@@ -3,9 +3,13 @@
 ``A`` entails ``B`` with strength ``k`` in (0, 1] when ``B - kA`` is
 positive semidefinite.  Such a ``k`` exists exactly when the support of
 ``A`` is contained in the support of ``B``, and the largest one is the
-reciprocal of the top eigenvalue of ``pinv(B) @ A``, computed here through
-the symmetric conjugate ``sqrt(A) @ pinv(B) @ sqrt(A)`` so that only
-symmetric eigensolves are needed.
+reciprocal of the top eigenvalue of ``pinv(B) @ A``.  Each operand is
+validated and factorised by one symmetric eigensolve: ``B`` into its
+support eigenpairs ``U, L`` (after the rank cut) and ``A`` into
+``V, M``.  The supports are contained when ``||A - U U^T A||`` is at most
+``compare_tol * ||A||``, and the top eigenvalue is then that of the
+``r x r`` matrix ``X X^T`` with ``X = L^(-1/2) U^T V M^(1/2)``, which
+shares its nonzero spectrum with ``pinv(B) @ A``.
 
 The module also provides the additive error decomposition ``A + D = B + E``
 for operators that are not comparable at any strength, the finite-set
@@ -34,16 +38,14 @@ from .errors import (
 from .psd import (
     DEFAULT_TOL,
     Tolerances,
-    _eigvalsh,
+    _psd_eigh,
+    _spectrum,
+    _support,
     _sym,
     as_symmetric,
     eig,
     is_psd,
-    pseudo_inverse,
-    require_psd,
-    sqrt_psd,
     sub,
-    support_projector,
 )
 
 ZERO_NORM_ATOL = 1e-12
@@ -102,19 +104,34 @@ class ErrorDecomposition:
     deficit: np.ndarray
 
 
+def _operands(a, b, tol: Tolerances, vectors: bool = True):
+    """Validate and factorise both operands: ``(A, w, v)`` for each."""
+    a_eig = _psd_eigh(a, tol, name="A", vectors=vectors)
+    b_eig = _psd_eigh(b, tol, name="B", vectors=vectors)
+    if a_eig[0].shape != b_eig[0].shape:
+        raise DimensionMismatch(f"shape {a_eig[0].shape} vs {b_eig[0].shape}")
+    return a_eig, b_eig
+
+
+def _top_eigenvalue(a_eig, b_eig, tol: Tolerances) -> Optional[float]:
+    """The strength kernel: top eigenvalue of ``pinv(B) @ A``.
+
+    Takes the factorisations ``(A, w, v)`` of both operands and returns
+    ``None`` when the support of ``A`` is not inside that of ``B``.
+    """
+    A, w_a, v_a = a_eig
+    _, w_b, v_b = b_eig
+    lam, u = _support(w_b, v_b, tol)
+    residual = float(np.linalg.norm(A - u @ (u.T @ A)))
+    if residual > tol.compare_tol * float(np.linalg.norm(A)):
+        return None
+    x = (u.T @ v_a) * np.sqrt(np.clip(w_a, 0.0, None)) / np.sqrt(lam)[:, None]
+    return float(_spectrum(_sym(x @ x.T), vectors=False)[0].max(initial=0.0))
+
+
 def supports_contained(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the support of ``a`` lies inside the support of ``b``."""
-    A = require_psd(a, tol, name="A")
-    B = require_psd(b, tol, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
-    projector = support_projector(B, tol)
-    return _containment_residual_ok(A, projector, tol)
-
-
-def _containment_residual_ok(A: np.ndarray, b_projector: np.ndarray, tol: Tolerances) -> bool:
-    residual = float(np.linalg.norm((np.eye(A.shape[0]) - b_projector) @ A))
-    return residual <= tol.compare_tol * max(1.0, float(np.linalg.norm(A)))
+    return _top_eigenvalue(*_operands(a, b, tol), tol) is not None
 
 
 def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -122,10 +139,7 @@ def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     strength = float(k)
     if not 0.0 < strength <= 1.0:
         raise StrengthRangeError(f"strength {strength!r} is outside (0, 1]")
-    A = require_psd(a, tol, name="A")
-    B = require_psd(b, tol, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
+    (A, _, _), (B, _, _) = _operands(a, b, tol, vectors=False)
     return is_psd(sub(B, strength * A), tol)
 
 
@@ -135,26 +149,12 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
     Raises :class:`ZeroOperatorError` when ``a`` vanishes; returns a
     result without a strength when the supports are not contained.
     """
-    A = require_psd(a, tol, name="A")
-    B = require_psd(b, tol, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
-    if float(np.linalg.norm(A)) <= ZERO_NORM_ATOL:
+    a_eig, b_eig = _operands(a, b, tol)
+    if float(np.linalg.norm(a_eig[0])) <= ZERO_NORM_ATOL:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
-    return _k_max_core(A, support_projector(B, tol), pseudo_inverse(B, tol), tol)
-
-
-def _k_max_core(
-    A: np.ndarray,
-    b_projector: np.ndarray,
-    b_pinv: np.ndarray,
-    tol: Tolerances,
-) -> EntailmentResult:
-    if not _containment_residual_ok(A, b_projector, tol):
+    top = _top_eigenvalue(a_eig, b_eig, tol)
+    if top is None:
         return EntailmentResult(False, None, None, None)
-    root = sqrt_psd(A, tol)
-    conjugated = _sym(root @ b_pinv @ root)
-    top = float(_eigvalsh(conjugated)[-1])
     if top <= 0.0:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
     raw = 1.0 / top
@@ -163,10 +163,7 @@ def _k_max_core(
 
 def general_error(a, b, tol: Tolerances = DEFAULT_TOL) -> ErrorDecomposition:
     """Split ``A - B`` spectrally into PSD excess and deficit terms."""
-    A = require_psd(a, tol, name="A")
-    B = require_psd(b, tol, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
+    (A, _, _), (B, _, _) = _operands(a, b, tol, vectors=False)
     dec = eig(sub(A, B))
     positive = np.clip(dec.eigenvalues, 0.0, None)
     negative = np.clip(-dec.eigenvalues, 0.0, None)
@@ -214,20 +211,8 @@ def set_entailment(
 def normalize(matrix, strategy, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Rescale or transform a PSD matrix by the chosen strategy."""
     strategy = Normalization.coerce(strategy)
-    m = require_psd(matrix, tol)
-    if strategy is Normalization.NONE:
-        return m
-    if strategy is Normalization.TRACE_ONE:
-        total = float(np.trace(m))
-        if total <= ZERO_NORM_ATOL:
-            raise ZeroOperatorError("cannot trace-normalize the zero operator")
-        return m / total
-    if strategy is Normalization.MAX_EIG_ONE:
-        top = float(_eigvalsh(m)[-1])
-        if top <= ZERO_NORM_ATOL:
-            raise ZeroOperatorError("cannot eigenvalue-normalize the zero operator")
-        return m / top
-    return bayes_transform(m, tol)
+    vectors = strategy is Normalization.BAYESIAN
+    return _normalize(_psd_eigh(matrix, tol, vectors=vectors), strategy)[0]
 
 
 def bayes_transform(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -236,11 +221,30 @@ def bayes_transform(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     With eigenvalues ``d_0 >= d_1 >= ...`` the output eigenvalues are
     ``d_0, d_0*d_1, d_0*d_1*d_2, ...`` on the unchanged eigenvectors.
     """
-    m = require_psd(matrix, tol)
-    dec = eig(m)
-    products = np.cumprod(np.clip(dec.eigenvalues, 0.0, None))
-    v = dec.eigenvectors
-    return _sym((v * products) @ v.T)
+    return _normalize(_psd_eigh(matrix, tol), Normalization.BAYESIAN)[0]
+
+
+def _normalize(m_eig, strategy: Normalization):
+    """Normalize a validated ``(m, w, v)`` and carry its factorisation along.
+
+    ``w`` comes in ascending order; after ``bayes`` it is no longer sorted.
+    """
+    m, w, v = m_eig
+    if strategy is Normalization.NONE:
+        return m_eig
+    if strategy is Normalization.BAYESIAN:
+        products = np.cumprod(np.clip(w[::-1], 0.0, None))
+        v = v[:, ::-1]
+        return _sym((v * products) @ v.T), products, v
+    if strategy is Normalization.TRACE_ONE:
+        total = float(np.trace(m))
+        if total <= ZERO_NORM_ATOL:
+            raise ZeroOperatorError("cannot trace-normalize the zero operator")
+        return m / total, w / total, v
+    top = float(w[-1])
+    if top <= ZERO_NORM_ATOL:
+        raise ZeroOperatorError("cannot eigenvalue-normalize the zero operator")
+    return m / top, w / top, v
 
 
 def from_bloch(x: float, z: float) -> np.ndarray:
@@ -292,18 +296,16 @@ def disc_grid(
         raise DimensionMismatch(f"expected a 2x2 target, got shape {m.shape}")
     if abs(float(np.trace(m)) - 1.0) > 1e-8 or not is_psd(m, tol):
         raise NotDensityOperator("target must be a trace-1 PSD matrix")
-    normalized_target = normalize(m, strategy, tol)
-    b_projector = support_projector(normalized_target, tol)
-    b_pinv = pseudo_inverse(normalized_target, tol)
+    b_eig = _normalize(_psd_eigh(m, tol), strategy)
     axis = np.linspace(-1.0, 1.0, resolution)
     rows: list[tuple[float, float, float]] = []
     for z in axis[::-1]:
         for x in axis:
             if x * x + z * z > 1.0 + 1e-12:
                 continue
-            source = normalize(from_bloch(x, z), strategy, tol)
-            result = _k_max_core(source, b_projector, b_pinv, tol)
-            k = result.k_max if result.supports_contained else 0.0
+            a_eig = _normalize(_psd_eigh(from_bloch(x, z), tol), strategy)
+            top = _top_eigenvalue(a_eig, b_eig, tol)
+            k = 0.0 if top is None else min(1.0, 1.0 / top)
             rows.append((float(x), float(z), float(k)))
     return rows
 

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import (
     TypeSyntaxError,
     UnknownWordError,
 )
-from .pregroup import PregroupType, parse_type
+from .pregroup import parse_type
 from .semantics import WordEntry, space_dims, word_meaning
 
 _WORD_KEYS = {"word", "type", "meaning", "frobenius"}
@@ -218,6 +217,3 @@ def load_lexicon(path) -> Lexicon:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     return parse_lexicon(data)
 
-
-def sentence_types(entries: Sequence[WordEntry]) -> list[PregroupType]:
-    return [entry.type for entry in entries]

@@ -76,11 +76,40 @@ def _sym(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+def _spectrum(matrix: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of a symmetric array and, if asked, eigenvectors."""
     try:
-        return np.linalg.eigvalsh(matrix)
+        if vectors:
+            return np.linalg.eigh(matrix)
+        return np.linalg.eigvalsh(matrix), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc
+
+
+def _psd_eigh(matrix, tol: Tolerances, name: str = "matrix", vectors: bool = True):
+    """Validate a symmetric PSD matrix with one eigensolve.
+
+    Returns ``(m, w, v)``: the clean array, its ascending eigenvalues and
+    their eigenvectors (``None`` unless ``vectors``).  This is the PSD
+    rule: the minimum eigenvalue must be at least
+    ``-psd_tol * max(1, lambda_max)``.
+    """
+    m = as_symmetric(matrix)
+    w, v = _spectrum(m, vectors)
+    if w[0] < -tol.psd_tol * max(1.0, float(w[-1])):
+        raise NotPositiveSemidefinite(
+            f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+        )
+    return m, w, v
+
+
+def _support(w: np.ndarray, v: np.ndarray, tol: Tolerances):
+    """The rank cut: the eigenpairs above ``rank_tol * lambda_max``.
+
+    The zero matrix keeps none.  ``w`` need not be sorted.
+    """
+    keep = w > tol.rank_tol * max(float(w.max()), 0.0)
+    return w[keep], v[:, keep]
 
 
 @dataclass(frozen=True)
@@ -102,11 +131,7 @@ class EigenDecomposition:
 
 def eig(matrix) -> EigenDecomposition:
     """Full eigendecomposition with eigenvalues in descending order."""
-    m = as_symmetric(matrix)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc
+    w, v = _spectrum(as_symmetric(matrix))
     return EigenDecomposition(
         np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
     )
@@ -114,20 +139,16 @@ def eig(matrix) -> EigenDecomposition:
 
 def is_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the minimum eigenvalue is >= -psd_tol * max(1, lambda_max)."""
-    m = as_symmetric(matrix)
-    w = _eigvalsh(m)
-    return bool(w[0] >= -tol.psd_tol * max(1.0, float(w[-1])))
+    try:
+        _psd_eigh(matrix, tol, vectors=False)
+    except NotPositiveSemidefinite:
+        return False
+    return True
 
 
 def require_psd(matrix, tol: Tolerances = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Validate that ``matrix`` is symmetric PSD, returning the clean array."""
-    m = as_symmetric(matrix)
-    w = _eigvalsh(m)
-    if w[0] < -tol.psd_tol * max(1.0, float(w[-1])):
-        raise NotPositiveSemidefinite(
-            f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    return m
+    return _psd_eigh(matrix, tol, name, vectors=False)[0]
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -141,35 +162,21 @@ def pseudo_inverse(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues above ``rank_tol * lambda_max`` are inverted, the rest are
     zeroed.  The zero matrix maps to the zero matrix.
     """
-    m = require_psd(matrix, tol)
-    dec = eig(m)
-    lam_max = float(dec.eigenvalues[0])
-    if lam_max <= 0.0:
-        return np.zeros_like(m)
-    inv = np.zeros_like(dec.eigenvalues)
-    keep = dec.eigenvalues > tol.rank_tol * lam_max
-    inv[keep] = 1.0 / dec.eigenvalues[keep]
-    v = dec.eigenvectors
-    return _sym((v * inv) @ v.T)
+    _, w, v = _psd_eigh(matrix, tol)
+    w, v = _support(w, v, tol)
+    return _sym((v / w) @ v.T)
 
 
 def sqrt_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unique PSD square root of a PSD matrix."""
-    m = require_psd(matrix, tol)
-    dec = eig(m)
-    root = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    v = dec.eigenvectors
-    return _sym((v * root) @ v.T)
+    _, w, v = _psd_eigh(matrix, tol)
+    return _sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
 
 
 def support_projector(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    m = require_psd(matrix, tol)
-    dec = eig(m)
-    lam_max = float(dec.eigenvalues[0])
-    if lam_max <= 0.0:
-        return np.zeros_like(m)
-    kept = dec.eigenvectors[:, dec.eigenvalues > tol.rank_tol * lam_max]
+    _, w, v = _psd_eigh(matrix, tol)
+    _, kept = _support(w, v, tol)
     return _sym(kept @ kept.T)
 
 

@@ -23,7 +23,6 @@ from . import psd
 from .errors import (
     DimensionMismatch,
     NonFiniteInput,
-    NotPositiveSemidefinite,
     NotSymmetric,
     PatternMismatch,
     TensorTooLarge,
@@ -88,12 +87,7 @@ class DensityTensor:
                 f"(max gap {float(np.abs(entries - swapped).max()):.3e})"
             )
         entries = 0.5 * (entries + swapped)
-        flat = entries.reshape(dim, dim)
-        w = np.linalg.eigvalsh(flat)
-        if w[0] < -psd.DEFAULT_TOL.psd_tol * max(1.0, float(w[-1])):
-            raise NotPositiveSemidefinite(
-                f"flattened tensor has min eigenvalue {w[0]:.3e}"
-            )
+        psd.require_psd(entries.reshape(dim, dim), name="flattened tensor")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "entries", entries)
 

@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import densem
 from densem.cli import main
 from helpers import FIXTURES
 
@@ -284,6 +287,9 @@ class TestUsage:
         assert code == 1
 
     def test_module_invocation(self):
+        # the child imports densem from the same source tree as this process
+        src = str(Path(densem.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [
                 sys.executable,
@@ -296,6 +302,7 @@ class TestUsage:
             ],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0
         assert "grammatical: yes" in result.stdout

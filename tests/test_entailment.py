@@ -29,6 +29,7 @@ from densem.errors import (
     StrengthRangeError,
     ZeroOperatorError,
 )
+from densem.psd import pseudo_inverse, sqrt_psd, support_projector
 from helpers import bisect_max_strength, nested_psd_pair, random_psd
 
 BLOCK_A = np.diag([1.0, 1.0, 0.0])
@@ -106,6 +107,10 @@ class TestKMax:
         result = k_max(BLOCK_A, BLOCK_B)
         assert result == EntailmentResult(False, None, None, None)
 
+    def test_small_disjoint_blocks_have_no_strength(self):
+        result = k_max(1e-9 * BLOCK_A, BLOCK_B)
+        assert result == EntailmentResult(False, None, None, None)
+
     def test_zero_operator_rejected(self):
         with pytest.raises(ZeroOperatorError):
             k_max(np.zeros((2, 2)), np.eye(2))
@@ -136,6 +141,77 @@ class TestKMax:
             oracle = bisect_max_strength(a, b)
             assert abs(result.raw_k - oracle) <= 1e-8 * oracle
             checked += 1
+
+
+def _log_uniform(rng: np.random.Generator) -> float:
+    return float(10.0 ** rng.uniform(-9.0, 9.0))
+
+
+class TestScaleAndRotation:
+    """``k_max(cA, B) = k_max(A, B) / c``, and decisions ignore units and basis."""
+
+    def test_nested_pairs_scale_and_rotate(self):
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 300:
+            dim = int(rng.integers(2, 9))
+            a, b = nested_psd_pair(rng, dim)
+            if np.linalg.norm(a) < 1e-2:
+                continue
+            raw = k_max(a, b).raw_k
+            c = _log_uniform(rng)
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            qa, qb = q @ a @ q.T, q @ b @ q.T
+            covariant = [
+                k_max(c * a, b).raw_k * c,
+                k_max(a, c * b).raw_k / c,
+                k_max(0.5 * (qa + qa.T), 0.5 * (qb + qb.T)).raw_k,
+            ]
+            for value in covariant:
+                assert abs(value - raw) <= 1e-6 * raw
+            checked += 1
+
+    def test_non_nested_pairs_never_contained(self):
+        rng = np.random.default_rng(62)
+        for _ in range(600):
+            dim = int(rng.integers(2, 9))
+            a = random_psd(rng, dim, rank=int(rng.integers(2, dim + 1)))
+            b = random_psd(rng, dim, rank=1)
+            c = _log_uniform(rng)
+            assert not supports_contained(c * a, b)
+            assert not supports_contained(a, c * b)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Count the calls to numpy's symmetric eigensolvers."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(_solver)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestEigensolveCounts:
+    """One eigensolve per operand, plus one r x r solve for a strength."""
+
+    def test_k_max_contained(self, eigensolves):
+        k_max(np.diag([1.0, 0.0, 0.0]), np.diag([0.5, 0.5, 0.0]))
+        assert len(eigensolves) == 3
+
+    def test_k_max_not_contained(self, eigensolves):
+        k_max(BLOCK_A, BLOCK_B)
+        assert len(eigensolves) == 2
+
+    @pytest.mark.parametrize(
+        "primitive", [pseudo_inverse, sqrt_psd, support_projector, bayes_transform]
+    )
+    def test_primitives_factorise_once(self, primitive, eigensolves):
+        primitive(random_psd(np.random.default_rng(63), 4))
+        assert len(eigensolves) == 1
 
 
 class TestGeneralError:
