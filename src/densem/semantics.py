@@ -14,6 +14,7 @@ so reduction patterns only need dimensions, never dual bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Mapping, Optional, Sequence
 
@@ -22,16 +23,18 @@ import numpy as np
 from . import psd
 from .errors import (
     DimensionMismatch,
-    NonFiniteInput,
-    NotSymmetric,
     PatternMismatch,
     TensorTooLarge,
     WeightError,
     ZeroOperatorError,
 )
-from .pregroup import PregroupType, ReductionPattern, flatten
+from .pregroup import PregroupType, ReductionPattern
 
 MAX_TENSOR_ENTRIES = 2**20
+# Cap on a contraction plan's cost (see evaluate): about a second of
+# einsum work, far above any sentence whose word tensors fit
+# MAX_TENSOR_ENTRIES.
+MAX_CONTRACTION_FLOPS = 2**30
 WEIGHT_SUM_ATOL = 1e-8
 
 SpaceAssignment = Mapping[str, int]
@@ -76,18 +79,9 @@ class DensityTensor:
             raise DimensionMismatch(
                 f"entries shape {entries.shape} does not match spaces {spaces}"
             )
-        if not np.all(np.isfinite(entries)):
-            raise NonFiniteInput("tensor contains NaN or Inf entries")
-        m = len(spaces)
-        swapped = entries.transpose(tuple(range(m, 2 * m)) + tuple(range(m)))
-        scale = max(1.0, float(np.abs(entries).max())) if entries.size else 1.0
-        if float(np.abs(entries - swapped).max()) > psd.SYMMETRY_RTOL * scale:
-            raise NotSymmetric(
-                "tensor is not invariant under ket/bra exchange "
-                f"(max gap {float(np.abs(entries - swapped).max()):.3e})"
-            )
-        entries = 0.5 * (entries + swapped)
-        psd.require_psd(entries.reshape(dim, dim), name="flattened tensor")
+        entries = psd.require_psd(
+            entries.reshape(dim, dim), name="flattened tensor"
+        ).reshape(spaces + spaces)
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "entries", entries)
 
@@ -189,12 +183,17 @@ def evaluate(
     For every matched pair of positions the ket indices are summed against
     each other and the bra indices likewise; the result ranges over the
     survivor positions in pattern order.
+
+    The contraction runs as a sequence of pairwise steps planned by
+    ``np.einsum_path`` (greedy).  The plan depends only on the pattern and
+    the dimensions of each word's positions, so it is made once per such
+    structure and cached.  Its cost, the sum over the steps of the product
+    of the dimensions each step touches, must not exceed
+    ``MAX_CONTRACTION_FLOPS``: a costlier plan raises ``TensorTooLarge``
+    before any contraction runs.
     """
-    flat = flatten([ptype for _, ptype in words])
-    n = len(flat)
-    dims = []
-    offset = 0
-    word_positions = []
+    dims: list[int] = []
+    counts = []
     for tensor, ptype in words:
         type_dims = space_dims(ptype, spaces)
         if tensor.spaces != type_dims:
@@ -202,10 +201,28 @@ def evaluate(
                 f"tensor over spaces {tensor.spaces} does not match type "
                 f"'{ptype}' over spaces {type_dims}"
             )
-        word_positions.append(range(offset, offset + len(type_dims)))
         dims.extend(type_dims)
-        offset += len(type_dims)
+        counts.append(len(type_dims))
+    labels, out_labels, path = _plan(pattern, tuple(dims), tuple(counts))
+    operands: list = []
+    for (tensor, _), word_labels in zip(words, labels):
+        operands.extend((tensor.entries, word_labels))
+    entries = np.einsum(*operands, out_labels, optimize=path)
+    return DensityTensor(tuple(dims[p] for p in pattern.survivors), entries)
 
+
+@lru_cache(maxsize=256)
+def _plan(pattern: ReductionPattern, dims: tuple[int, ...], counts: tuple[int, ...]):
+    """Check a contraction structure and plan it once.
+
+    ``dims`` gives the dimension of every position and ``counts`` the
+    number of positions of each word, in order.  Returns the einsum labels
+    of each word, the output labels and the planned path.  Position ``p``
+    carries ket label ``p`` and bra label ``n + p``; a match relabels its
+    right position with its left one, so a label ``l`` has dimension
+    ``dims[l % n]``.
+    """
+    n = len(dims)
     matched: set[int] = set()
     for i, j in pattern.matches:
         if not (0 <= i < j < n):
@@ -225,14 +242,36 @@ def evaluate(
     for i, j in pattern.matches:
         ket[j] = ket[i]
         bra[j] = bra[i]
+    labels = []
+    start = 0
+    for count in counts:
+        positions = range(start, start + count)
+        labels.append(tuple(ket[p] for p in positions) + tuple(bra[p] for p in positions))
+        start += count
+    out_labels = tuple(ket[p] for p in pattern.survivors) + tuple(
+        bra[p] for p in pattern.survivors
+    )
 
-    operands: list = []
-    for (tensor, _), positions in zip(words, word_positions):
-        labels = [ket[p] for p in positions] + [bra[p] for p in positions]
-        operands.extend((tensor.entries, labels))
-    out_labels = [ket[p] for p in pattern.survivors] + [bra[p] for p in pattern.survivors]
-    entries = np.einsum(*operands, out_labels)
-    return DensityTensor(tuple(dims[p] for p in pattern.survivors), entries)
+    # einsum_path reads only shapes, so zero-stride stand-ins allocate nothing.
+    stand_ins: list = []
+    for word_labels in labels:
+        shape = tuple(dims[label % n] for label in word_labels)
+        stand_ins.extend((np.broadcast_to(0.0, shape), word_labels))
+    path = np.einsum_path(*stand_ins, out_labels, optimize="greedy")[0]
+
+    live = [set(word_labels) for word_labels in labels]
+    cost = 0
+    for step in path[1:]:
+        touched = set().union(*(live[k] for k in step))
+        for k in sorted(step, reverse=True):
+            del live[k]
+        cost += prod(dims[label % n] for label in touched)
+        live.append({l for l in touched if l in out_labels or any(l in s for s in live)})
+    if cost > MAX_CONTRACTION_FLOPS:
+        raise TensorTooLarge(
+            f"contraction plan costs {cost} flops, over the cap of {MAX_CONTRACTION_FLOPS}"
+        )
+    return tuple(labels), out_labels, tuple(path)
 
 
 def snake_check(dim: int) -> bool:

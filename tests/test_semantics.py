@@ -1,19 +1,27 @@
 """Tests for doubled tensors, contraction and Frobenius operations."""
 
+import string
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import densem.psd as psd
+import densem.semantics as semantics
+from densem.cli import main
 from densem.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveSemidefinite,
+    NotSymmetric,
     PatternMismatch,
     TensorTooLarge,
     WeightError,
     ZeroOperatorError,
 )
 from densem.lexicon import load_lexicon
-from densem.pregroup import ReductionPattern, parse_type
+from densem.pregroup import ReductionPattern, parse_type, reduce
 from densem.semantics import (
     DensityTensor,
     WordEntry,
@@ -27,6 +35,8 @@ from densem.semantics import (
     word_meaning,
 )
 from helpers import FIXTURES, compose_sentence, random_psd
+
+KICKS = str(FIXTURES / "kicks.json")
 
 
 def pure(vector, spaces):
@@ -50,6 +60,25 @@ class TestDensityTensor:
         t = DensityTensor((), np.array(2.0))
         assert t.matrix.shape == (1, 1)
         assert t.trace == pytest.approx(2.0)
+
+    def test_rejects_ket_bra_asymmetry(self):
+        entries = np.eye(4).reshape(2, 2, 2, 2)
+        entries[0, 1, 1, 1] = 0.5
+        with pytest.raises(NotSymmetric):
+            DensityTensor((2, 2), entries)
+
+    def test_rejects_non_finite(self):
+        entries = np.eye(4).reshape(2, 2, 2, 2)
+        entries[1, 1, 1, 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            DensityTensor((2, 2), entries)
+
+    def test_stores_ket_bra_average(self):
+        entries = np.eye(4).reshape(2, 2, 2, 2)
+        entries[0, 1, 1, 0] = 1e-13
+        t = DensityTensor((2, 2), entries)
+        np.testing.assert_array_equal(t.entries, t.entries.transpose(2, 3, 0, 1))
+        assert t.entries[0, 1, 1, 0] == 0.5e-13
 
 
 class TestDouble:
@@ -187,6 +216,92 @@ class TestEvaluate:
         result = evaluate(words, transitive_pattern(), spaces)
         w = np.linalg.eigvalsh(result.matrix)
         assert w[0] >= -1e-9 * max(1.0, w[-1])
+
+
+WORD_TYPES = {"N": "n", "A": "n n.l", "V": "n.r s n.l"}
+
+
+def random_sentence(rng, kinds, n, s):
+    """Random PSD word tensors for a template such as "ANVN", with its pattern."""
+    spaces = {"n": n, "s": s}
+    types = [parse_type(WORD_TYPES[k]) for k in kinds]
+    words = []
+    for ptype in types:
+        dims = semantics.space_dims(ptype, spaces)
+        matrix = random_psd(rng, int(np.prod(dims)), rank=int(rng.integers(1, 3)))
+        words.append((DensityTensor.from_matrix(matrix, dims), ptype))
+    target = parse_type("n" if "V" not in kinds else "s")
+    pattern = reduce(types, target)
+    assert pattern is not None
+    return words, pattern, spaces
+
+
+def naive_contraction(words, pattern):
+    """The unplanned einsum, labelled by letters: lower case kets, upper case bras."""
+    sizes = [len(ptype.simples) for _, ptype in words]
+    letter = list(range(sum(sizes)))
+    for i, j in pattern.matches:
+        letter[j] = letter[i]
+    ket = string.ascii_lowercase
+    bra = string.ascii_uppercase
+    terms = []
+    start = 0
+    for size in sizes:
+        own = letter[start : start + size]
+        terms.append("".join(ket[p] for p in own) + "".join(bra[p] for p in own))
+        start += size
+    out = "".join(ket[letter[p]] for p in pattern.survivors)
+    out += "".join(bra[letter[p]] for p in pattern.survivors)
+    subscripts = ",".join(terms) + "->" + out
+    return np.einsum(subscripts, *(t.entries for t, _ in words), optimize=False)
+
+
+class TestPlannedContraction:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["N", "AN", "AAN", "NVN", "ANVN", "NVAN", "ANVAN", "AANVAN"]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unplanned_einsum(self, kinds, n, s, seed):
+        words, pattern, spaces = random_sentence(np.random.default_rng(seed), kinds, n, s)
+        result = evaluate(words, pattern, spaces).entries
+        expected = naive_contraction(words, pattern)
+        assert result.shape == expected.shape
+        assert np.abs(result - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_plans_once_per_structure(self, monkeypatch):
+        calls = []
+        planner = np.einsum_path
+
+        def counting_planner(*args, **kwargs):
+            calls.append(args)
+            return planner(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counting_planner)
+        semantics._plan.cache_clear()
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            evaluate(*random_sentence(rng, "ANVN", 2, 3))
+        assert len(calls) == 1
+        evaluate(*random_sentence(rng, "ANVN", 3, 3))
+        assert len(calls) == 2
+
+    def test_six_word_sentence_is_fast(self):
+        words, pattern, spaces = random_sentence(np.random.default_rng(11), "AANVAN", 6, 6)
+        start = time.perf_counter()
+        result = evaluate(words, pattern, spaces)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+        assert result.spaces == (6,)
+
+    def test_work_over_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(semantics, "MAX_CONTRACTION_FLOPS", 10)
+        semantics._plan.cache_clear()
+        with pytest.raises(TensorTooLarge, match="contraction plan"):
+            evaluate(*random_sentence(np.random.default_rng(2), "NVN", 2, 2))
+        assert main(["compose", "--lexicon", KICKS, "John kicks cats"]) == 3
 
 
 class TestSnake:
