@@ -37,15 +37,8 @@ from .errors import (
     UnknownWordError,
     ZeroOperatorError,
 )
-from .lexicon import Lexicon, load_lexicon
-from .pregroup import PregroupType, ReductionPattern, parse_type, reduce
-from .semantics import (
-    DensityTensor,
-    WordEntry,
-    evaluate,
-    relative_clause,
-    word_meaning,
-)
+from .lexicon import compose_sentence, load_lexicon, word_product_bound
+from .pregroup import parse_type, reduce
 
 _USAGE_ERRORS = (
     SchemaError,
@@ -58,75 +51,6 @@ _USAGE_ERRORS = (
 )
 
 _NORMALIZE_CHOICE = click.Choice([n.value for n in Normalization])
-
-
-def _parse_target(text: str) -> PregroupType:
-    return parse_type(text)
-
-
-def _reduce_or_fail(
-    types: Sequence[PregroupType], target: PregroupType, sentence: str
-) -> ReductionPattern:
-    pattern = reduce(list(types), target)
-    if pattern is None:
-        raise UngrammaticalSentence(
-            f"'{sentence}' does not reduce to type '{target}'"
-        )
-    return pattern
-
-
-def _is_subject_relative_shape(entries: Sequence[WordEntry]) -> bool:
-    if len(entries) != 4:
-        return False
-    subj, pron, verb, obj = entries
-    if pron.frobenius != "subject":
-        return False
-    noun = subj.type.simples
-    if len(noun) != 1 or noun[0].z != 0:
-        return False
-    base = noun[0].base
-    if obj.type.simples != noun:
-        return False
-    v = verb.type.simples
-    if len(v) != 3 or v[0].base != base or v[0].z != 1 or v[2].base != base or v[2].z != -1 or v[1].z != 0:
-        return False
-    p = pron.type.simples
-    return (
-        len(p) == 4
-        and p[0].base == base
-        and p[0].z == 1
-        and p[1] == noun[0]
-        and p[2].base == v[1].base
-        and p[2].z == -1
-        and p[3] == noun[0]
-    )
-
-
-def _compose_sentence(
-    lexicon: Lexicon,
-    sentence: str,
-    target: PregroupType,
-    frobenius_pronouns: bool = False,
-) -> tuple[DensityTensor, list[WordEntry], ReductionPattern]:
-    entries = lexicon.lookup_sentence(sentence)
-    types = [entry.type for entry in entries]
-    pattern = _reduce_or_fail(types, target, sentence)
-    if frobenius_pronouns and any(e.frobenius for e in entries):
-        if not _is_subject_relative_shape(entries):
-            raise StructureMismatch(
-                "frobenius evaluation supports 'subject pronoun verb object' phrases"
-            )
-        subj, _, verb, obj = entries
-        tensor = relative_clause(
-            word_meaning(subj, lexicon.spaces),
-            word_meaning(verb, lexicon.spaces),
-            word_meaning(obj, lexicon.spaces),
-        )
-        return tensor, entries, pattern
-    tensors = [
-        (word_meaning(entry, lexicon.spaces), entry.type) for entry in entries
-    ]
-    return evaluate(tensors, pattern, lexicon.spaces), entries, pattern
 
 
 def _echo_matrix(matrix: np.ndarray) -> None:
@@ -148,7 +72,7 @@ def cli() -> None:
 def cmd_parse(lexicon_path: str, target_text: str, sentence: str) -> int:
     """Report the type reduction of SENTENCE, if one exists."""
     lexicon = load_lexicon(lexicon_path)
-    target = _parse_target(target_text)
+    target = parse_type(target_text)
     entries = lexicon.lookup_sentence(sentence)
     types = [entry.type for entry in entries]
     click.echo("types: " + " | ".join(str(t) for t in types))
@@ -178,37 +102,14 @@ def cmd_compose(
 ) -> int:
     """Compose SENTENCE into its density matrix and print it."""
     lexicon = load_lexicon(lexicon_path)
-    target = _parse_target(target_text)
-    tensor, _, _ = _compose_sentence(lexicon, sentence, target, frobenius_pronouns)
+    target = parse_type(target_text)
+    tensor, _ = compose_sentence(lexicon, sentence, target, frobenius_pronouns)
     matrix = normalize(tensor.matrix, strategy)
     click.echo(f"type: {target}")
     _echo_matrix(matrix)
     click.echo("trace: " + format_float(float(np.trace(matrix))))
     click.echo("max_eigenvalue: " + format_float(float(np.linalg.eigvalsh(matrix)[-1])))
     return 0
-
-
-def _word_product_bound(
-    lexicon: Lexicon,
-    entries_a: Sequence[WordEntry],
-    entries_b: Sequence[WordEntry],
-) -> float:
-    if len(entries_a) != len(entries_b) or any(
-        a.type != b.type for a, b in zip(entries_a, entries_b)
-    ):
-        raise StructureMismatch("sentences differ in length or word types")
-    bound = 1.0
-    for a, b in zip(entries_a, entries_b):
-        result = k_max(
-            word_meaning(a, lexicon.spaces).matrix,
-            word_meaning(b, lexicon.spaces).matrix,
-        )
-        if not result.supports_contained:
-            raise StructureMismatch(
-                f"'{a.word}' has no entailment strength into '{b.word}'"
-            )
-        bound *= result.k_max
-    return bound
 
 
 @cli.command("entail")
@@ -226,9 +127,9 @@ def cmd_entail(
 ) -> int:
     """Report how strongly SENTENCE_A entails SENTENCE_B."""
     lexicon = load_lexicon(lexicon_path)
-    target = _parse_target(target_text)
-    tensor_a, entries_a, _ = _compose_sentence(lexicon, sentence_a, target)
-    tensor_b, entries_b, _ = _compose_sentence(lexicon, sentence_b, target)
+    target = parse_type(target_text)
+    tensor_a, entries_a = compose_sentence(lexicon, sentence_a, target)
+    tensor_b, entries_b = compose_sentence(lexicon, sentence_b, target)
     result = k_max(
         normalize(tensor_a.matrix, strategy), normalize(tensor_b.matrix, strategy)
     )
@@ -240,7 +141,7 @@ def cmd_entail(
         "raw_k: " + (format_float(result.raw_k) if result.raw_k is not None else "none")
     )
     try:
-        bound = _word_product_bound(lexicon, entries_a, entries_b)
+        bound = word_product_bound(lexicon, entries_a, entries_b)
     except StructureMismatch as exc:
         click.echo(f"word_product_bound: unavailable ({exc})")
     except ZeroOperatorError:

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     EmptyProposition,
     NotDensityOperator,
+    NotPositiveSemidefinite,
     OutsideDiscError,
     ResolutionError,
     StrengthRangeError,
@@ -37,15 +38,13 @@ from .errors import (
 )
 from .psd import (
     DEFAULT_TOL,
+    DENSITY_TRACE_ATOL,
     Tolerances,
     _psd_eigh,
     _spectrum,
     _support,
     _sym,
-    as_symmetric,
-    eig,
     is_psd,
-    sub,
 )
 
 ZERO_NORM_ATOL = 1e-12
@@ -140,7 +139,7 @@ def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     if not 0.0 < strength <= 1.0:
         raise StrengthRangeError(f"strength {strength!r} is outside (0, 1]")
     (A, _, _), (B, _, _) = _operands(a, b, tol, vectors=False)
-    return is_psd(sub(B, strength * A), tol)
+    return is_psd(B - strength * A, tol)
 
 
 def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
@@ -164,10 +163,9 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
 def general_error(a, b, tol: Tolerances = DEFAULT_TOL) -> ErrorDecomposition:
     """Split ``A - B`` spectrally into PSD excess and deficit terms."""
     (A, _, _), (B, _, _) = _operands(a, b, tol, vectors=False)
-    dec = eig(sub(A, B))
-    positive = np.clip(dec.eigenvalues, 0.0, None)
-    negative = np.clip(-dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors
+    w, v = _spectrum(A - B)
+    positive = np.clip(w, 0.0, None)
+    negative = np.clip(-w, 0.0, None)
     excess = _sym((v * positive) @ v.T)
     deficit = _sym((v * negative) @ v.T)
     return ErrorDecomposition(excess=excess, deficit=deficit)
@@ -256,15 +254,27 @@ def from_bloch(x: float, z: float) -> np.ndarray:
     return 0.5 * (np.eye(2) + x * _PAULI_X + z * _PAULI_Z)
 
 
+def _qubit_density(matrix, tol: Tolerances):
+    """Validate a 2x2 trace-1 PSD matrix and factorise it with one eigensolve.
+
+    Returns the ``(m, w, v)`` of ``_psd_eigh``.
+    """
+    shape = np.shape(matrix)
+    if shape != (2, 2):
+        raise DimensionMismatch(f"expected a 2x2 matrix, got shape {shape}")
+    try:
+        m_eig = _psd_eigh(matrix, tol)
+    except NotPositiveSemidefinite as exc:
+        raise NotDensityOperator(str(exc)) from exc
+    trace = float(np.trace(m_eig[0]))
+    if abs(trace - 1.0) > DENSITY_TRACE_ATOL:
+        raise NotDensityOperator(f"trace {trace!r} is not 1")
+    return m_eig
+
+
 def to_bloch(matrix) -> tuple[float, float]:
     """Disc coordinates of a 2x2 trace-1 PSD matrix; inverts from_bloch."""
-    m = as_symmetric(matrix)
-    if m.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 matrix, got shape {m.shape}")
-    if abs(float(np.trace(m)) - 1.0) > 1e-8:
-        raise NotDensityOperator(f"trace {float(np.trace(m))!r} is not 1")
-    if not is_psd(m):
-        raise NotDensityOperator("matrix is not positive semidefinite")
+    m = _qubit_density(matrix, DEFAULT_TOL)[0]
     return float(2.0 * m[0, 1]), float(m[0, 0] - m[1, 1])
 
 
@@ -291,12 +301,7 @@ def disc_grid(
     if resolution < 2:
         raise ResolutionError(f"resolution must be at least 2, got {resolution}")
     strategy = Normalization.coerce(strategy)
-    m = as_symmetric(target)
-    if m.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 target, got shape {m.shape}")
-    if abs(float(np.trace(m)) - 1.0) > 1e-8 or not is_psd(m, tol):
-        raise NotDensityOperator("target must be a trace-1 PSD matrix")
-    b_eig = _normalize(_psd_eigh(m, tol), strategy)
+    b_eig = _normalize(_qubit_density(target, tol), strategy)
     axis = np.linspace(-1.0, 1.0, resolution)
     rows: list[tuple[float, float, float]] = []
     for z in axis[::-1]:

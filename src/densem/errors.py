@@ -34,7 +34,7 @@ class ZeroOperatorError(DensemError):
 
 
 class WeightError(DensemError):
-    """Mixture weights are negative or do not sum to one."""
+    """A word has no meaning (raised by ``word_meaning``)."""
 
 
 class StrengthRangeError(DensemError):

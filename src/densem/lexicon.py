@@ -18,28 +18,45 @@ A meaning is either a ``pure_mixture`` (weights summing to one, vectors
 over the flattened type space) or an explicit flattened ``matrix``.
 Relative pronouns carry ``"frobenius": "subject"`` and may omit the
 meaning.  Words are matched case-insensitively; multiword tokens use
-underscores (``the_siblings``).
+underscores (``the_siblings``).  Each meaning is validated and built into
+its density tensor once, when the lexicon is parsed.
+
+:func:`compose_sentence` and :func:`word_product_bound` run the sentence
+pipeline over a lexicon: look up, reduce, contract, and bound the sentence
+strength by the product of the word strengths.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from .entailment import k_max
 from .errors import (
     DensemError,
     DuplicateWordError,
     LexiconIOError,
     SchemaError,
+    StructureMismatch,
+    TensorTooLarge,
     TypeSyntaxError,
+    UngrammaticalSentence,
     UnknownWordError,
 )
-from .pregroup import parse_type
-from .semantics import WordEntry, space_dims, word_meaning
+from .pregroup import PregroupType, parse_type, reduce
+from .semantics import (
+    DensityTensor,
+    WordEntry,
+    evaluate,
+    flat_dim,
+    relative_clause,
+    space_dims,
+    word_meaning,
+)
 
 _WORD_KEYS = {"word", "type", "meaning", "frobenius"}
 _MEANING_KEYS = {"pure_mixture", "matrix"}
@@ -91,9 +108,11 @@ def _parse_spaces(data, path: str) -> dict[str, int]:
     return spaces
 
 
-def _parse_mixture(data, path: str, size: int) -> tuple[tuple[float, np.ndarray], ...]:
+def _parse_mixture(data, path: str, size: int) -> np.ndarray:
+    """The mixture's flattened matrix, the sum of ``weight * v v^T``."""
     _require(isinstance(data, list) and data, path, "expected a nonempty array of weighted vectors")
-    mixture = []
+    matrix = np.zeros((size, size))
+    total = 0.0
     for i, item in enumerate(data):
         item_path = f"{path}[{i}]"
         _require(isinstance(item, dict), item_path, "expected an object with 'weight' and 'vector'")
@@ -108,10 +127,11 @@ def _parse_mixture(data, path: str, size: int) -> tuple[tuple[float, np.ndarray]
             f"{item_path}.vector",
             f"expected length {size} for this word's type, got {len(values)}",
         )
-        mixture.append((weight, np.array(values)))
-    total = sum(w for w, _ in mixture)
+        v = np.array(values)
+        matrix += weight * np.outer(v, v)
+        total += weight
     _require(abs(total - 1.0) <= 1e-8, path, f"weights sum to {total!r}, expected 1")
-    return tuple(mixture)
+    return matrix
 
 
 def _parse_matrix(data, path: str, size: int) -> np.ndarray:
@@ -142,7 +162,7 @@ def _parse_word(data, path: str, spaces: dict[str, int]) -> WordEntry:
             f"{path}.type",
             f"base '{simple.base}' has no declared space dimension",
         )
-    size = prod(space_dims(ptype, spaces)) if ptype.simples else 1
+    dims = space_dims(ptype, spaces)
 
     frobenius = data.get("frobenius")
     if frobenius is not None:
@@ -152,8 +172,7 @@ def _parse_word(data, path: str, spaces: dict[str, int]) -> WordEntry:
             f"unsupported marker {frobenius!r}; expected one of {sorted(_FROBENIUS_MARKERS)}",
         )
 
-    mixture = None
-    matrix = None
+    tensor = None
     if "meaning" in data:
         meaning = data["meaning"]
         meaning_path = f"{path}.meaning"
@@ -164,10 +183,18 @@ def _parse_word(data, path: str, spaces: dict[str, int]) -> WordEntry:
             meaning_path,
             "expected exactly one of 'pure_mixture' or 'matrix'",
         )
+        try:
+            size = flat_dim(dims)
+        except TensorTooLarge as exc:
+            raise SchemaError(meaning_path, str(exc)) from exc
         if "pure_mixture" in meaning:
-            mixture = _parse_mixture(meaning["pure_mixture"], f"{meaning_path}.pure_mixture", size)
+            matrix = _parse_mixture(meaning["pure_mixture"], f"{meaning_path}.pure_mixture", size)
         else:
             matrix = _parse_matrix(meaning["matrix"], f"{meaning_path}.matrix", size)
+        try:
+            tensor = DensityTensor.from_matrix(matrix, dims)
+        except DensemError as exc:
+            raise SchemaError(meaning_path, str(exc)) from exc
     else:
         _require(
             frobenius is not None,
@@ -175,19 +202,7 @@ def _parse_word(data, path: str, spaces: dict[str, int]) -> WordEntry:
             "missing 'meaning' (only frobenius-marked pronouns may omit it)",
         )
 
-    entry = WordEntry(
-        word=word.lower(),
-        type=ptype,
-        mixture=mixture,
-        matrix=matrix,
-        frobenius=frobenius,
-    )
-    if mixture is not None or matrix is not None:
-        try:
-            word_meaning(entry, spaces)
-        except DensemError as exc:
-            raise SchemaError(f"{path}.meaning", str(exc)) from exc
-    return entry
+    return WordEntry(word=word.lower(), type=ptype, meaning=tensor, frobenius=frobenius)
 
 
 def parse_lexicon(data) -> Lexicon:
@@ -217,3 +232,83 @@ def load_lexicon(path) -> Lexicon:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     return parse_lexicon(data)
 
+
+def _is_subject_relative(entries: Sequence[WordEntry]) -> bool:
+    """True for ``subject who verb object`` typed ``n | n.r n s.l n | n.r s n.l | n``.
+
+    ``n`` is the subject's base, ``s`` the verb's middle base, and the
+    pronoun must carry the ``subject`` marker.
+    """
+    if len(entries) != 4 or entries[1].frobenius != "subject":
+        return False
+    try:
+        n = entries[0].type.simples[0].base
+        s = entries[2].type.simples[1].base
+    except IndexError:
+        return False
+    return [str(e.type) for e in entries] == [n, f"{n}.r {n} {s}.l {n}", f"{n}.r {s} {n}.l", n]
+
+
+def compose_sentence(
+    lexicon: Lexicon,
+    sentence: str,
+    target: PregroupType,
+    frobenius_pronouns: bool = False,
+) -> tuple[DensityTensor, list[WordEntry]]:
+    """Compose ``sentence`` into a density tensor of type ``target``.
+
+    Returns the tensor and the sentence's lexicon entries.  Raises
+    :class:`UngrammaticalSentence` when the word types do not reduce to
+    ``target``.  With ``frobenius_pronouns``, a sentence holding a marked
+    pronoun must be a subject relative clause (``subject who verb
+    object``), evaluated by the Frobenius recipe; any other raises
+    :class:`StructureMismatch`.
+    """
+    entries = lexicon.lookup_sentence(sentence)
+    pattern = reduce([entry.type for entry in entries], target)
+    if pattern is None:
+        raise UngrammaticalSentence(f"'{sentence}' does not reduce to type '{target}'")
+    if frobenius_pronouns and any(e.frobenius for e in entries):
+        if not _is_subject_relative(entries):
+            raise StructureMismatch(
+                "frobenius evaluation supports 'subject pronoun verb object' phrases"
+            )
+        subj, _, verb, obj = entries
+        tensor = relative_clause(
+            word_meaning(subj, lexicon.spaces),
+            word_meaning(verb, lexicon.spaces),
+            word_meaning(obj, lexicon.spaces),
+        )
+        return tensor, entries
+    tensors = [(word_meaning(entry, lexicon.spaces), entry.type) for entry in entries]
+    return evaluate(tensors, pattern, lexicon.spaces), entries
+
+
+def word_product_bound(
+    lexicon: Lexicon,
+    entries_a: Sequence[WordEntry],
+    entries_b: Sequence[WordEntry],
+) -> float:
+    """The product of the word-by-word strengths of two sentences.
+
+    The paper's lower bound on the strength of sentence A into sentence B
+    when both share one grammatical structure.  Raises
+    :class:`StructureMismatch` when the sentences differ in length or word
+    types, or when a word of A has no strength into its counterpart in B.
+    """
+    if len(entries_a) != len(entries_b) or any(
+        a.type != b.type for a, b in zip(entries_a, entries_b)
+    ):
+        raise StructureMismatch("sentences differ in length or word types")
+    bound = 1.0
+    for a, b in zip(entries_a, entries_b):
+        result = k_max(
+            word_meaning(a, lexicon.spaces).matrix,
+            word_meaning(b, lexicon.spaces).matrix,
+        )
+        if not result.supports_contained:
+            raise StructureMismatch(
+                f"'{a.word}' has no entailment strength into '{b.word}'"
+            )
+        bound *= result.k_max
+    return bound

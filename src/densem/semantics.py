@@ -35,7 +35,6 @@ MAX_TENSOR_ENTRIES = 2**20
 # einsum work, far above any sentence whose word tensors fit
 # MAX_TENSOR_ENTRIES.
 MAX_CONTRACTION_FLOPS = 2**30
-WEIGHT_SUM_ATOL = 1e-8
 
 SpaceAssignment = Mapping[str, int]
 
@@ -51,6 +50,20 @@ def space_dims(ptype: PregroupType, spaces: SpaceAssignment) -> tuple[int, ...]:
             raise DimensionMismatch(f"space '{simple.base}' must have dimension >= 1")
         dims.append(d)
     return tuple(dims)
+
+
+def flat_dim(spaces: Sequence[int]) -> int:
+    """The flattened dimension over ``spaces``, checked against the entry cap.
+
+    Call it before allocating a ``dim x dim`` matrix, so an oversized
+    tensor is refused without the allocation.
+    """
+    dim = prod(spaces)
+    if dim * dim > MAX_TENSOR_ENTRIES:
+        raise TensorTooLarge(
+            f"tensor with {dim * dim} entries exceeds the cap of {MAX_TENSOR_ENTRIES}"
+        )
+    return dim
 
 
 @dataclass(frozen=True)
@@ -69,11 +82,7 @@ class DensityTensor:
         spaces = tuple(int(d) for d in self.spaces)
         if any(d < 1 for d in spaces):
             raise DimensionMismatch("all space dimensions must be >= 1")
-        dim = prod(spaces)
-        if dim * dim > MAX_TENSOR_ENTRIES:
-            raise TensorTooLarge(
-                f"tensor with {dim * dim} entries exceeds the cap of {MAX_TENSOR_ENTRIES}"
-            )
+        dim = flat_dim(spaces)
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != spaces + spaces:
             raise DimensionMismatch(
@@ -127,50 +136,28 @@ def double(vector, spaces: Sequence[int]) -> DensityTensor:
 class WordEntry:
     """A lexicon row: a word, its pregroup type and its meaning.
 
-    The meaning is either a convex ``mixture`` of vectors (pairs of weight
-    and vector over the flattened type space) or an explicit flattened
-    ``matrix``.  Relative pronouns carry a ``frobenius`` marker instead of
-    a meaning.
+    ``meaning`` is the word's validated density tensor over the spaces of
+    its type.  Relative pronouns carry a ``frobenius`` marker and may have
+    no meaning.
     """
 
     word: str
     type: PregroupType
-    mixture: Optional[tuple[tuple[float, np.ndarray], ...]] = None
-    matrix: Optional[np.ndarray] = None
+    meaning: Optional[DensityTensor] = None
     frobenius: Optional[str] = None
 
 
 def word_meaning(entry: WordEntry, spaces: SpaceAssignment) -> DensityTensor:
-    """Build the density tensor of a word from its lexicon entry."""
+    """The density tensor of a word, checked against the given spaces."""
     dims = space_dims(entry.type, spaces)
-    size = prod(dims)
-    if entry.mixture is not None:
-        weights = [float(w) for w, _ in entry.mixture]
-        if any(w < 0 for w in weights):
-            raise WeightError(f"word '{entry.word}' has a negative mixture weight")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_ATOL:
-            raise WeightError(
-                f"word '{entry.word}' mixture weights sum to {sum(weights)!r}, not 1"
-            )
-        acc = np.zeros((size, size))
-        for weight, vector in entry.mixture:
-            v = np.asarray(vector, dtype=float).reshape(-1)
-            if v.size != size:
-                raise DimensionMismatch(
-                    f"word '{entry.word}': vector of length {v.size} does not "
-                    f"match type '{entry.type}' over spaces {dims}"
-                )
-            acc += float(weight) * np.outer(v, v)
-        return DensityTensor(dims, acc.reshape(dims + dims))
-    if entry.matrix is not None:
-        m = np.asarray(entry.matrix, dtype=float)
-        if m.shape != (size, size):
-            raise DimensionMismatch(
-                f"word '{entry.word}': matrix shape {m.shape} does not match "
-                f"type '{entry.type}' over spaces {dims}"
-            )
-        return DensityTensor.from_matrix(m, dims)
-    raise WeightError(f"word '{entry.word}' has no meaning")
+    if entry.meaning is None:
+        raise WeightError(f"word '{entry.word}' has no meaning")
+    if entry.meaning.spaces != dims:
+        raise DimensionMismatch(
+            f"word '{entry.word}': tensor over spaces {entry.meaning.spaces} "
+            f"does not match type '{entry.type}' over spaces {dims}"
+        )
+    return entry.meaning
 
 
 def evaluate(

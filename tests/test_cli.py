@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import densem
 from densem.cli import main
+from densem.errors import StructureMismatch
 from helpers import FIXTURES
 
 KICKS = str(FIXTURES / "kicks.json")
@@ -132,6 +136,43 @@ class TestCompose:
         )
         assert code == 3
         assert "who" in err
+
+    @pytest.mark.parametrize("defect", ["verb typed n s n.l", "unmarked pronoun"])
+    def test_frobenius_shape_rejections(self, capsys, tmp_path, defect):
+        doc = json.loads(Path(RELATIVE).read_text())
+        words = {entry["word"]: entry for entry in doc["words"]}
+        target = "n"
+        if defect == "verb typed n s n.l":
+            words["own"]["type"] = "n s n.l"
+            target = "n s.l n n s"
+        else:
+            del words["who"]["frobenius"]
+            words["who"]["meaning"] = {
+                "pure_mixture": [{"weight": 1.0, "vector": [1] + [0] * 26}]
+            }
+            words["women"]["frobenius"] = "subject"
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(doc))
+        sentence = "women who own animals"
+        with pytest.raises(StructureMismatch):
+            densem.compose_sentence(
+                densem.load_lexicon(path),
+                sentence,
+                densem.parse_type(target),
+                frobenius_pronouns=True,
+            )
+        code, _, err = run(
+            capsys,
+            "compose",
+            "--lexicon",
+            str(path),
+            "--target",
+            target,
+            "--frobenius-pronouns",
+            sentence,
+        )
+        assert code == 1
+        assert "frobenius evaluation supports" in err
 
     def test_ungrammatical_exits_two(self, capsys):
         code, _, err = run(capsys, "compose", "--lexicon", KICKS, "cats John kicks")

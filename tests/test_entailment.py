@@ -182,19 +182,6 @@ class TestScaleAndRotation:
             assert not supports_contained(a, c * b)
 
 
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """Count the calls to numpy's symmetric eigensolvers."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append(_solver)
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 class TestEigensolveCounts:
     """One eigensolve per operand, plus one r x r solve for a strength."""
 
@@ -205,6 +192,12 @@ class TestEigensolveCounts:
     def test_k_max_not_contained(self, eigensolves):
         k_max(BLOCK_A, BLOCK_B)
         assert len(eigensolves) == 2
+
+    def test_disc_grid_target_factorised_once(self, eigensolves):
+        # At resolution 2 every lattice point is a corner outside the disc,
+        # so only the target is factorised.
+        assert disc_grid(from_bloch(0.1, 0.2), 2, "maxeig") == []
+        assert len(eigensolves) == 1
 
     @pytest.mark.parametrize(
         "primitive", [pseudo_inverse, sqrt_psd, support_projector, bayes_transform]

@@ -1,5 +1,8 @@
 """Tests for lexicon loading and schema validation."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from densem.errors import (
@@ -114,7 +117,38 @@ class TestSchema:
         doc = minimal_doc()
         doc["words"][0]["meaning"] = {"matrix": [[0.5, 0.0], [0.0, 0.5]]}
         lexicon = parse_lexicon(doc)
-        assert lexicon.words["john"].matrix is not None
+        np.testing.assert_array_equal(
+            lexicon.words["john"].meaning.matrix, [[0.5, 0.0], [0.0, 0.5]]
+        )
+
+    def test_oversized_meaning_refused_before_allocation(self):
+        doc = {
+            "spaces": {"n": 2048},
+            "words": [
+                {
+                    "word": "big",
+                    "type": "n",
+                    "meaning": {"pure_mixture": [{"weight": 1.0, "vector": [1] + [0] * 2047}]},
+                }
+            ],
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as excinfo:
+                parse_lexicon(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.path == "words[0].meaning"
+        assert "exceeds the cap" in str(excinfo.value)
+        assert peak < 8 * 2**20
+
+    def test_pronoun_without_meaning_is_not_capped(self):
+        doc = {
+            "spaces": {"n": 2048, "s": 1},
+            "words": [{"word": "who", "type": "n.r n s.l n", "frobenius": "subject"}],
+        }
+        assert parse_lexicon(doc).words["who"].meaning is None
 
     def test_meaning_required_without_marker(self):
         doc = minimal_doc()

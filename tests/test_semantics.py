@@ -20,7 +20,7 @@ from densem.errors import (
     WeightError,
     ZeroOperatorError,
 )
-from densem.lexicon import load_lexicon
+from densem.lexicon import load_lexicon, parse_lexicon
 from densem.pregroup import ReductionPattern, parse_type, reduce
 from densem.semantics import (
     DensityTensor,
@@ -101,20 +101,35 @@ class TestDouble:
             double(np.ones(3), (2,))
 
 
+def mixture_word(word, mixture, n):
+    """Parse a one-noun lexicon whose word is the given (weight, vector) mixture."""
+    doc = {
+        "spaces": {"n": n},
+        "words": [
+            {
+                "word": word,
+                "type": "n",
+                "meaning": {
+                    "pure_mixture": [
+                        {"weight": w, "vector": list(v)} for w, v in mixture
+                    ]
+                },
+            }
+        ],
+    }
+    return parse_lexicon(doc).words[word]
+
+
 class TestWordMeaning:
     def test_even_pet_mixture(self):
-        entry = WordEntry(
-            "pet",
-            parse_type("n"),
-            mixture=((0.5, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0]))),
-        )
+        entry = mixture_word("pet", [(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])], 2)
         np.testing.assert_allclose(
             word_meaning(entry, {"n": 2}).matrix, np.diag([0.5, 0.5])
         )
 
     def test_single_weight_equals_double(self):
         v = np.array([0.3, 0.4, 0.5])
-        entry = WordEntry("w", parse_type("n"), mixture=((1.0, v),))
+        entry = mixture_word("w", [(1.0, v)], 3)
         np.testing.assert_allclose(
             word_meaning(entry, {"n": 3}).entries, double(v, (3,)).entries
         )
@@ -122,25 +137,20 @@ class TestWordMeaning:
     def test_sweets_is_average_of_pure_nouns(self):
         cake = np.array([0.0, 1.0, 0.0])
         chocolate = np.array([0.0, 0.0, 1.0])
-        entry = WordEntry(
-            "sweets", parse_type("n"), mixture=((0.5, cake), (0.5, chocolate))
-        )
+        entry = mixture_word("sweets", [(0.5, cake), (0.5, chocolate)], 3)
         expected = 0.5 * (np.outer(cake, cake) + np.outer(chocolate, chocolate))
         np.testing.assert_allclose(word_meaning(entry, {"n": 3}).matrix, expected)
 
-    def test_bad_weights(self):
-        entry = WordEntry(
-            "w", parse_type("n"), mixture=((0.7, np.ones(2)), (0.7, np.ones(2)))
-        )
-        with pytest.raises(WeightError):
-            word_meaning(entry, {"n": 2})
+    def test_returns_stored_tensor_without_eigensolve(self, eigensolves):
+        entry = mixture_word("pet", [(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])], 2)
+        eigensolves.clear()
+        assert word_meaning(entry, {"n": 2}) is entry.meaning
+        assert eigensolves == []
 
-    def test_explicit_matrix_must_be_psd(self):
-        entry = WordEntry(
-            "w", parse_type("n"), matrix=np.array([[0.0, 1.0], [1.0, 0.0]])
-        )
-        with pytest.raises(NotPositiveSemidefinite):
-            word_meaning(entry, {"n": 2})
+    def test_other_spaces_mismatch(self):
+        entry = mixture_word("pet", [(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])], 2)
+        with pytest.raises(DimensionMismatch):
+            word_meaning(entry, {"n": 3})
 
     def test_missing_meaning(self):
         entry = WordEntry("who", parse_type("n.r n s.l n"), frobenius="subject")
