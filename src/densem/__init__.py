@@ -42,18 +42,13 @@ from .pregroup import (
 from .psd import (
     EigenDecomposition,
     Tolerances,
-    add,
     eig,
-    frobenius_norm,
     is_psd,
     loewner_leq,
     pseudo_inverse,
     satisfaction,
-    scale,
     sqrt_psd,
-    sub,
     support_projector,
-    trace,
 )
 from .semantics import (
     DensityTensor,
@@ -75,18 +70,13 @@ __all__ = [
     "errors",
     "EigenDecomposition",
     "Tolerances",
-    "add",
     "eig",
-    "frobenius_norm",
     "is_psd",
     "loewner_leq",
     "pseudo_inverse",
     "satisfaction",
-    "scale",
     "sqrt_psd",
-    "sub",
     "support_projector",
-    "trace",
     "PregroupType",
     "ReductionPattern",
     "SimpleType",

@@ -9,7 +9,10 @@ support eigenpairs ``U, L`` (after the rank cut) and ``A`` into
 ``V, M``.  The supports are contained when ``||A - U U^T A||`` is at most
 ``compare_tol * ||A||``, and the top eigenvalue is then that of the
 ``r x r`` matrix ``X X^T`` with ``X = L^(-1/2) U^T V M^(1/2)``, which
-shares its nonzero spectrum with ``pinv(B) @ A``.
+shares its nonzero spectrum with ``pinv(B) @ A``.  The same kernel takes a
+stack of operands ``A`` against one ``B``: ``disc_grid`` evaluates its whole
+lattice of disc states with one stacked eigensolve and one stacked ``r x r``
+eigenvalue solve, whatever the resolution.
 
 The module also provides the additive error decomposition ``A + D = B + E``
 for operators that are not comparable at any strength, the finite-set
@@ -41,13 +44,18 @@ from .psd import (
     DENSITY_TRACE_ATOL,
     Tolerances,
     _psd_eigh,
+    _psd_spectrum,
     _spectrum,
     _support,
     _sym,
+    _symmetrized,
     is_psd,
 )
 
 ZERO_NORM_ATOL = 1e-12
+# x^2 + z^2 at most this is inside the closed unit disc; the slack keeps
+# lattice points on the edge that round-off pushes just outside.
+_DISC_EDGE = 1.0 + 1e-12
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -112,25 +120,36 @@ def _operands(a, b, tol: Tolerances, vectors: bool = True):
     return a_eig, b_eig
 
 
-def _top_eigenvalue(a_eig, b_eig, tol: Tolerances) -> Optional[float]:
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes."""
+    return np.sqrt(np.einsum("...ij,...ij->...", m, m))
+
+
+def _top_eigenvalue(a_eig, b_eig, tol: Tolerances):
     """The strength kernel: top eigenvalue of ``pinv(B) @ A``.
 
-    Takes the factorisations ``(A, w, v)`` of both operands and returns
-    ``None`` when the support of ``A`` is not inside that of ``B``.
+    Takes the factorisations ``(A, w, v)`` of both operands, where ``A``
+    may be a stack ``(..., n, n)`` against the one ``B``.  Returns
+    ``(contained, top)``: whether each support of ``A`` lies inside that of
+    ``B``, and each top eigenvalue, which means something only where
+    contained.  When none is contained ``top`` is ``None`` and the
+    ``r x r`` solve is skipped.
     """
     A, w_a, v_a = a_eig
     _, w_b, v_b = b_eig
     lam, u = _support(w_b, v_b, tol)
-    residual = float(np.linalg.norm(A - u @ (u.T @ A)))
-    if residual > tol.compare_tol * float(np.linalg.norm(A)):
-        return None
-    x = (u.T @ v_a) * np.sqrt(np.clip(w_a, 0.0, None)) / np.sqrt(lam)[:, None]
-    return float(_spectrum(_sym(x @ x.T), vectors=False)[0].max(initial=0.0))
+    residual = _frobenius(A - u @ (u.T @ A))
+    contained = residual <= tol.compare_tol * _frobenius(A)
+    if not np.count_nonzero(contained):
+        return contained, None
+    x = (u.T @ v_a) * np.sqrt(np.clip(w_a, 0.0, None))[..., None, :] / np.sqrt(lam)[:, None]
+    w, _ = _spectrum(_sym(x @ x.swapaxes(-1, -2)), vectors=False)
+    return contained, w.max(axis=-1, initial=0.0)
 
 
 def supports_contained(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the support of ``a`` lies inside the support of ``b``."""
-    return _top_eigenvalue(*_operands(a, b, tol), tol) is not None
+    return bool(_top_eigenvalue(*_operands(a, b, tol), tol)[0])
 
 
 def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -151,9 +170,10 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
     a_eig, b_eig = _operands(a, b, tol)
     if float(np.linalg.norm(a_eig[0])) <= ZERO_NORM_ATOL:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
-    top = _top_eigenvalue(a_eig, b_eig, tol)
-    if top is None:
+    contained, top = _top_eigenvalue(a_eig, b_eig, tol)
+    if not contained:
         return EntailmentResult(False, None, None, None)
+    top = float(top)
     if top <= 0.0:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
     raw = 1.0 / top
@@ -225,32 +245,40 @@ def bayes_transform(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def _normalize(m_eig, strategy: Normalization):
     """Normalize a validated ``(m, w, v)`` and carry its factorisation along.
 
+    ``m`` may be a stack ``(..., n, n)``, with ``w`` and ``v`` stacked alike.
     ``w`` comes in ascending order; after ``bayes`` it is no longer sorted.
     """
     m, w, v = m_eig
     if strategy is Normalization.NONE:
         return m_eig
     if strategy is Normalization.BAYESIAN:
-        products = np.cumprod(np.clip(w[::-1], 0.0, None))
-        v = v[:, ::-1]
-        return _sym((v * products) @ v.T), products, v
+        products = np.cumprod(np.clip(w[..., ::-1], 0.0, None), axis=-1)
+        v = v[..., ::-1]
+        return _sym((v * products[..., None, :]) @ v.swapaxes(-1, -2)), products, v
     if strategy is Normalization.TRACE_ONE:
-        total = float(np.trace(m))
-        if total <= ZERO_NORM_ATOL:
+        divisor = m.trace(axis1=-2, axis2=-1)
+        if np.count_nonzero(divisor <= ZERO_NORM_ATOL):
             raise ZeroOperatorError("cannot trace-normalize the zero operator")
-        return m / total, w / total, v
-    top = float(w[-1])
-    if top <= ZERO_NORM_ATOL:
-        raise ZeroOperatorError("cannot eigenvalue-normalize the zero operator")
-    return m / top, w / top, v
+    else:
+        divisor = w[..., -1]
+        if np.count_nonzero(divisor <= ZERO_NORM_ATOL):
+            raise ZeroOperatorError("cannot eigenvalue-normalize the zero operator")
+    return m / divisor[..., None, None], w / divisor[..., None], v
 
 
 def from_bloch(x: float, z: float) -> np.ndarray:
     """The 2x2 trace-1 PSD matrix with disc coordinates ``(x, z)``."""
     x = float(x)
     z = float(z)
-    if x * x + z * z > 1.0 + 1e-12:
+    if x * x + z * z > _DISC_EDGE:
         raise OutsideDiscError(f"({x}, {z}) lies outside the closed unit disc")
+    return _bloch_states(x, z)
+
+
+def _bloch_states(x, z) -> np.ndarray:
+    """The states ``(I + x X + z Z) / 2``, stacked like the coordinates."""
+    x = np.asarray(x)[..., None, None]
+    z = np.asarray(z)[..., None, None]
     return 0.5 * (np.eye(2) + x * _PAULI_X + z * _PAULI_Z)
 
 
@@ -292,6 +320,10 @@ def disc_grid(
     ascending.  ``k`` is 0 when the point's support is not contained in
     the target's support.
 
+    The lattice is evaluated as one stack of 2x2 states: one eigensolve
+    for the target, one stacked eigensolve over all disc points and, when
+    any support is contained, one stacked ``r x r`` eigenvalue solve.
+
     Under ``maxeig`` both operators have top eigenvalue 1, so ``k = 1``
     exactly for the states that share the target's top eigenvector and are
     at least as pure as the target: the segment from the target out to the
@@ -303,16 +335,21 @@ def disc_grid(
     strategy = Normalization.coerce(strategy)
     b_eig = _normalize(_qubit_density(target, tol), strategy)
     axis = np.linspace(-1.0, 1.0, resolution)
-    rows: list[tuple[float, float, float]] = []
-    for z in axis[::-1]:
-        for x in axis:
-            if x * x + z * z > 1.0 + 1e-12:
-                continue
-            a_eig = _normalize(_psd_eigh(from_bloch(x, z), tol), strategy)
-            top = _top_eigenvalue(a_eig, b_eig, tol)
-            k = 0.0 if top is None else min(1.0, 1.0 / top)
-            rows.append((float(x), float(z), float(k)))
-    return rows
+    x = np.tile(axis, resolution)
+    z = np.repeat(axis[::-1], resolution)
+    inside = x * x + z * z <= _DISC_EDGE
+    x, z = x[inside], z[inside]
+    if not x.size:
+        return []
+    states = _symmetrized(_bloch_states(x, z))
+    a_eig = _normalize(_psd_spectrum(states, tol, name="disc state"), strategy)
+    del states
+    contained, top = _top_eigenvalue(a_eig, b_eig, tol)
+    del a_eig
+    k = np.zeros(x.shape)
+    if top is not None:
+        k[contained] = np.minimum(1.0, 1.0 / top[contained])
+    return list(zip(x.tolist(), z.tolist(), k.tolist()))
 
 
 def format_float(value: float) -> str:

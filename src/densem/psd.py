@@ -62,18 +62,29 @@ def as_symmetric(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    return _symmetrized(m)
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """The finiteness and symmetry rules on a float ``(..., n, n)`` stack.
+
+    Each matrix is held to its own scale.  Returns the symmetric averages.
+    """
+    if m.shape[-1] == 0:
         raise DimensionMismatch("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteInput("matrix contains NaN or Inf entries")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
+    # Entries flattened per matrix: one reduction axis is cheaper than two.
+    flat = m.shape[:-2] + (-1,)
+    scale = np.abs(m).reshape(flat).max(axis=-1, initial=1.0)
+    asymmetry = np.abs(m - m.swapaxes(-1, -2)).reshape(flat).max(axis=-1)
+    if np.count_nonzero(asymmetry > SYMMETRY_RTOL * scale):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
+    return _sym(m)
 
 
 def _sym(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.T)
+    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
 def _spectrum(matrix: np.ndarray, vectors: bool = True):
@@ -90,15 +101,26 @@ def _psd_eigh(matrix, tol: Tolerances, name: str = "matrix", vectors: bool = Tru
     """Validate a symmetric PSD matrix with one eigensolve.
 
     Returns ``(m, w, v)``: the clean array, its ascending eigenvalues and
-    their eigenvectors (``None`` unless ``vectors``).  This is the PSD
-    rule: the minimum eigenvalue must be at least
-    ``-psd_tol * max(1, lambda_max)``.
+    their eigenvectors (``None`` unless ``vectors``).
     """
-    m = as_symmetric(matrix)
+    return _psd_spectrum(as_symmetric(matrix), tol, name, vectors)
+
+
+def _psd_spectrum(m: np.ndarray, tol: Tolerances, name: str, vectors: bool = True):
+    """The PSD rule on a symmetric ``(..., n, n)`` stack, by one stacked eigensolve.
+
+    Each minimum eigenvalue must be at least ``-psd_tol * max(1, lambda_max)``
+    of its own matrix.  Returns ``(m, w, v)`` as ``_psd_eigh`` does.
+    """
     w, v = _spectrum(m, vectors)
-    if w[0] < -tol.psd_tol * max(1.0, float(w[-1])):
+    # Each matrix's lowest and top eigenvalue; for one matrix, numpy scalars.
+    low, top = w.T[0], w.T[-1]
+    # low < -psd_tol * max(1, top) as two comparisons, which on scalars
+    # cost less than one np.maximum.
+    bad = (low < -tol.psd_tol) & (low < -tol.psd_tol * top)
+    if np.count_nonzero(bad):
         raise NotPositiveSemidefinite(
-            f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+            f"{name} is not positive semidefinite (min eigenvalue {low[bad].min():.3e})"
         )
     return m, w, v
 
@@ -153,7 +175,11 @@ def require_psd(matrix, tol: Tolerances = DEFAULT_TOL, name: str = "matrix") -> 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Operator order: A <= B iff B - A is positive semidefinite."""
-    return is_psd(sub(b, a), tol)
+    x = as_symmetric(a)
+    y = as_symmetric(b)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
+    return is_psd(y - x, tol)
 
 
 def pseudo_inverse(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -197,33 +223,3 @@ def satisfaction(rho, a, tol: Tolerances = DEFAULT_TOL) -> float:
     value = float(np.trace(r @ m))
     return max(value, 0.0)
 
-
-def trace(matrix) -> float:
-    return float(np.trace(as_symmetric(matrix)))
-
-
-def add(a, b) -> np.ndarray:
-    x = as_symmetric(a)
-    y = as_symmetric(b)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
-    return _sym(x + y)
-
-
-def sub(a, b) -> np.ndarray:
-    x = as_symmetric(a)
-    y = as_symmetric(b)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
-    return _sym(x - y)
-
-
-def scale(c, matrix) -> np.ndarray:
-    factor = float(c)
-    if not np.isfinite(factor):
-        raise NonFiniteInput("scale factor must be finite")
-    return factor * as_symmetric(matrix)
-
-
-def frobenius_norm(matrix) -> float:
-    return float(np.linalg.norm(as_symmetric(matrix)))

@@ -245,7 +245,49 @@ class TestEntail:
         assert "word_product_bound: 0.333333333" in out
 
 
+# Written by the per-point disc evaluation that the stacked one replaced;
+# the CSV bytes must not change.
+DISC_GOLDEN_TARGETS = {
+    "reference": ("0.4408389", "0.6067627"),
+    "north": ("0.0", "1.0"),
+    "west": ("-0.3", "0.2"),
+}
+DISC_GOLDENS = [
+    (label, strategy, resolution)
+    for label in DISC_GOLDEN_TARGETS
+    for strategy, resolutions in (
+        ("none", (20, 21)),
+        ("trace", (20, 21)),
+        ("maxeig", (20, 21)),
+        ("bayes", (20,)),  # 21 would include the degenerate disc centre
+    )
+    for resolution in resolutions
+]
+
+
 class TestDisc:
+    @pytest.mark.parametrize("label,strategy,resolution", DISC_GOLDENS)
+    def test_matches_committed_goldens(self, capsys, tmp_path, label, strategy, resolution):
+        x, z = DISC_GOLDEN_TARGETS[label]
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(
+            capsys,
+            "disc",
+            "--target-x",
+            x,
+            "--target-z",
+            z,
+            "--resolution",
+            str(resolution),
+            "--normalize",
+            strategy,
+            "--out",
+            str(out_path),
+        )
+        assert code == 0
+        golden = FIXTURES / "disc" / f"{label}_{strategy}_{resolution}.csv"
+        assert out_path.read_bytes() == golden.read_bytes()
+
     def test_writes_grid(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, out, _ = run(

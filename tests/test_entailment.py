@@ -1,7 +1,10 @@
 """Tests for the graded entailment calculus."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densem.entailment import (
     EntailmentResult,
@@ -199,6 +202,14 @@ class TestEigensolveCounts:
         assert disc_grid(from_bloch(0.1, 0.2), 2, "maxeig") == []
         assert len(eigensolves) == 1
 
+    @pytest.mark.parametrize("strategy", list(Normalization))
+    def test_disc_grid_solves_per_grid(self, strategy, eigensolves):
+        # The target, then one stacked eigh and one stacked r x r eigvalsh
+        # over all 7,845 disc points.
+        rows = disc_grid(from_bloch(0.4408389, 0.6067627), 101, strategy)
+        assert len(rows) == 7845
+        assert [solver.__name__ for solver in eigensolves] == ["eigh", "eigh", "eigvalsh"]
+
     @pytest.mark.parametrize(
         "primitive", [pseudo_inverse, sqrt_psd, support_projector, bayes_transform]
     )
@@ -347,7 +358,29 @@ class TestBloch:
             to_bloch(np.diag([1.5, -0.5]))
 
 
+disc_targets = st.builds(
+    lambda r, angle: (r * math.cos(angle), r * math.sin(angle)),
+    st.just(1.0) | st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
 class TestDiscGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(disc_targets, st.integers(2, 31), st.sampled_from(list(Normalization)))
+    def test_rows_match_single_pair_strength(self, target, resolution, strategy):
+        b = normalize(from_bloch(*target), strategy)
+        for x, z, k in disc_grid(from_bloch(*target), resolution, strategy):
+            if strategy is Normalization.BAYESIAN and x == 0.0 and z == 0.0:
+                # The maximally mixed state has a degenerate eigenspace, so
+                # its bayes transform depends on the basis the solver picks.
+                continue
+            result = k_max(normalize(from_bloch(x, z), strategy), b)
+            if result.supports_contained:
+                assert k == pytest.approx(result.k_max, rel=1e-9, abs=0.0)
+            else:
+                assert k == 0.0
+
     def test_exact_hit_reports_full_strength(self):
         target = from_bloch(0.5, 0.5)
         rows = disc_grid(target, 5, "maxeig")
