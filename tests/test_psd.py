@@ -107,9 +107,12 @@ class TestLoewner:
             assert psd.loewner_leq(a, c)
 
     def test_dim_mismatch(self):
-        for a, b in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
-            with pytest.raises(DimensionMismatch):
-                psd.loewner_leq(a, b)
+        with pytest.raises(DimensionMismatch):
+            psd.loewner_leq(np.eye(2), np.eye(3))
+
+    def test_dim_mismatch_reversed(self):
+        with pytest.raises(DimensionMismatch):
+            psd.loewner_leq(np.eye(3), np.eye(2))
 
     def test_comparable_densities_are_equal(self):
         rng = np.random.default_rng(5)
