@@ -4,15 +4,18 @@
 positive semidefinite.  Such a ``k`` exists exactly when the support of
 ``A`` is contained in the support of ``B``, and the largest one is the
 reciprocal of the top eigenvalue of ``pinv(B) @ A``.  Each operand is
-validated and factorised by one symmetric eigensolve: ``B`` into its
-support eigenpairs ``U, L`` (after the rank cut) and ``A`` into
-``V, M``.  The supports are contained when ``||A - U U^T A||`` is at most
-``compare_tol * ||A||``, and the top eigenvalue is then that of the
-``r x r`` matrix ``X X^T`` with ``X = L^(-1/2) U^T V M^(1/2)``, which
-shares its nonzero spectrum with ``pinv(B) @ A``.  The same kernel takes a
-stack of operands ``A`` against one ``B``: ``disc_grid`` evaluates its whole
-lattice of disc states with one stacked eigensolve and one stacked ``r x r``
-eigenvalue solve, whatever the resolution.
+validated and factorised by one symmetric eigensolve.  ``B`` is factorised
+first, into its support eigenpairs ``U, L`` (after the rank cut).  The
+supports are contained when ``||A - U U^T A||`` is at most
+``compare_tol * ||A||``, a test that needs no factorisation of ``A``; so
+``A``'s eigensolve, which also runs its PSD rule, asks for eigenvectors
+``V`` beside the eigenvalues ``M`` only when the supports are contained.
+The top eigenvalue is then that of the ``r x r`` matrix ``X X^T`` with
+``X = L^(-1/2) U^T V M^(1/2)``, which shares its nonzero spectrum with
+``pinv(B) @ A``.  The same kernel takes a stack of operands ``A`` against
+one ``B``: ``disc_grid`` evaluates its whole lattice of disc states with
+one stacked eigensolve and one stacked ``r x r`` eigenvalue solve,
+whatever the resolution.
 
 The module also provides the additive error decomposition ``A + D = B + E``
 for operators that are not comparable at any strength, the finite-set
@@ -49,10 +52,16 @@ from .psd import (
     _support,
     _sym,
     _symmetrized,
+    as_symmetric,
     is_psd,
+    require_psd,
 )
 
 ZERO_NORM_ATOL = 1e-12
+# Cap on a disc lattice's points (resolution 1024), checked before any
+# array is built.  A grid peaks at about 200 bytes per point inside the
+# disc, so some 166 MB at the cap.
+MAX_DISC_POINTS = 2**20
 # x^2 + z^2 at most this is inside the closed unit disc; the slack keeps
 # lattice points on the edge that round-off pushes just outside.
 _DISC_EDGE = 1.0 + 1e-12
@@ -111,13 +120,30 @@ class ErrorDecomposition:
     deficit: np.ndarray
 
 
-def _operands(a, b, tol: Tolerances, vectors: bool = True):
-    """Validate and factorise both operands: ``(A, w, v)`` for each."""
-    a_eig = _psd_eigh(a, tol, name="A", vectors=vectors)
-    b_eig = _psd_eigh(b, tol, name="B", vectors=vectors)
-    if a_eig[0].shape != b_eig[0].shape:
-        raise DimensionMismatch(f"shape {a_eig[0].shape} vs {b_eig[0].shape}")
-    return a_eig, b_eig
+def _operands(a, b, tol: Tolerances):
+    """Validate both operands, each by one eigenvalue solve: ``(A, B)``."""
+    A = require_psd(a, tol, name="A")
+    B = require_psd(b, tol, name="B")
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
+    return A, B
+
+
+def _containment(a, b, tol: Tolerances, vectors: bool):
+    """Validate both operands and decide whether ``A``'s support lies in ``B``'s.
+
+    Runs the checks in the order ``k_max`` documents.  ``A``'s eigensolve
+    computes eigenvectors only when ``vectors`` is asked for and ``A`` is
+    contained.  Returns ``(a_eig, support, contained)``: ``A``'s
+    ``(A, w, v)``, ``B``'s support eigenpairs ``(L, U)`` and the decision.
+    """
+    A = as_symmetric(a)
+    B, w_b, v_b = _psd_eigh(b, tol, name="B")
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
+    support = _support(w_b, v_b, tol)
+    contained = bool(_contained(A, support[1], tol))
+    return _psd_spectrum(A, tol, "A", vectors and contained), support, contained
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -125,31 +151,33 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", m, m))
 
 
-def _top_eigenvalue(a_eig, b_eig, tol: Tolerances):
+def _contained(A: np.ndarray, u: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Whether each support of ``A``, a stack ``(..., n, n)``, lies in ``span(u)``.
+
+    ``u`` holds ``B``'s support eigenvectors; ``A`` is contained when
+    ``||A - U U^T A||`` is at most ``compare_tol * ||A||``.
+    """
+    residual = _frobenius(A - u @ (u.T @ A))
+    return residual <= tol.compare_tol * _frobenius(A)
+
+
+def _top_eigenvalue(w_a: np.ndarray, v_a: np.ndarray, support) -> np.ndarray:
     """The strength kernel: top eigenvalue of ``pinv(B) @ A``.
 
-    Takes the factorisations ``(A, w, v)`` of both operands, where ``A``
-    may be a stack ``(..., n, n)`` against the one ``B``.  Returns
-    ``(contained, top)``: whether each support of ``A`` lies inside that of
-    ``B``, and each top eigenvalue, which means something only where
-    contained.  When none is contained ``top`` is ``None`` and the
-    ``r x r`` solve is skipped.
+    Takes ``A``'s eigenpairs ``w_a, v_a``, which may be stacked
+    ``(..., n)`` and ``(..., n, n)``, and ``B``'s support eigenpairs
+    ``(L, U)``.  Each top eigenvalue means something only where ``A`` is
+    contained; it comes from one stacked ``r x r`` eigenvalue solve.
     """
-    A, w_a, v_a = a_eig
-    _, w_b, v_b = b_eig
-    lam, u = _support(w_b, v_b, tol)
-    residual = _frobenius(A - u @ (u.T @ A))
-    contained = residual <= tol.compare_tol * _frobenius(A)
-    if not np.count_nonzero(contained):
-        return contained, None
+    lam, u = support
     x = (u.T @ v_a) * np.sqrt(np.clip(w_a, 0.0, None))[..., None, :] / np.sqrt(lam)[:, None]
     w, _ = _spectrum(_sym(x @ x.swapaxes(-1, -2)), vectors=False)
-    return contained, w.max(axis=-1, initial=0.0)
+    return w.max(axis=-1, initial=0.0)
 
 
 def supports_contained(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the support of ``a`` lies inside the support of ``b``."""
-    return bool(_top_eigenvalue(*_operands(a, b, tol), tol)[0])
+    return _containment(a, b, tol, vectors=False)[2]
 
 
 def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -157,7 +185,7 @@ def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     strength = float(k)
     if not 0.0 < strength <= 1.0:
         raise StrengthRangeError(f"strength {strength!r} is outside (0, 1]")
-    (A, _, _), (B, _, _) = _operands(a, b, tol, vectors=False)
+    A, B = _operands(a, b, tol)
     return is_psd(B - strength * A, tol)
 
 
@@ -166,14 +194,21 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
 
     Raises :class:`ZeroOperatorError` when ``a`` vanishes; returns a
     result without a strength when the supports are not contained.
+
+    The checks and solves run in this order: ``a``'s shape, finiteness and
+    symmetry; ``b``'s eigensolve and PSD rule; the shapes against each
+    other; the containment residual; ``a``'s eigensolve and PSD rule, with
+    eigenvectors only when contained; the zero-operator check; and, only
+    when contained, the ``r x r`` strength solve.  So a pair that is not
+    contained costs one ``eigh`` and one ``eigvalsh``, and a contained pair
+    two ``eigh`` and one ``eigvalsh``.
     """
-    a_eig, b_eig = _operands(a, b, tol)
-    if float(np.linalg.norm(a_eig[0])) <= ZERO_NORM_ATOL:
+    (A, w_a, v_a), support, contained = _containment(a, b, tol, vectors=True)
+    if float(np.linalg.norm(A)) <= ZERO_NORM_ATOL:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
-    contained, top = _top_eigenvalue(a_eig, b_eig, tol)
     if not contained:
         return EntailmentResult(False, None, None, None)
-    top = float(top)
+    top = float(_top_eigenvalue(w_a, v_a, support))
     if top <= 0.0:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
     raw = 1.0 / top
@@ -182,12 +217,12 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
 
 def general_error(a, b, tol: Tolerances = DEFAULT_TOL) -> ErrorDecomposition:
     """Split ``A - B`` spectrally into PSD excess and deficit terms."""
-    (A, _, _), (B, _, _) = _operands(a, b, tol, vectors=False)
+    A, B = _operands(a, b, tol)
     w, v = _spectrum(A - B)
-    positive = np.clip(w, 0.0, None)
-    negative = np.clip(-w, 0.0, None)
-    excess = _sym((v * positive) @ v.T)
-    deficit = _sym((v * negative) @ v.T)
+    # Each part from its own sign's eigenpairs only: the others add zeros.
+    positive, negative = w > 0.0, w < 0.0
+    excess = _sym((v[:, positive] * w[positive]) @ v[:, positive].T)
+    deficit = _sym((v[:, negative] * -w[negative]) @ v[:, negative].T)
     return ErrorDecomposition(excess=excess, deficit=deficit)
 
 
@@ -320,9 +355,11 @@ def disc_grid(
     ascending.  ``k`` is 0 when the point's support is not contained in
     the target's support.
 
-    The lattice is evaluated as one stack of 2x2 states: one eigensolve
-    for the target, one stacked eigensolve over all disc points and, when
-    any support is contained, one stacked ``r x r`` eigenvalue solve.
+    A lattice over ``MAX_DISC_POINTS`` points raises ``ResolutionError``
+    before any array is built.  The lattice is evaluated as one stack of
+    2x2 states: one eigensolve for the target, one stacked eigensolve over
+    all disc points and, when any support is contained, one stacked
+    ``r x r`` eigenvalue solve.
 
     Under ``maxeig`` both operators have top eigenvalue 1, so ``k = 1``
     exactly for the states that share the target's top eigenvector and are
@@ -332,6 +369,11 @@ def disc_grid(
     """
     if resolution < 2:
         raise ResolutionError(f"resolution must be at least 2, got {resolution}")
+    if resolution * resolution > MAX_DISC_POINTS:
+        raise ResolutionError(
+            f"resolution {resolution} gives {resolution * resolution} lattice points, "
+            f"over the cap of {MAX_DISC_POINTS}"
+        )
     strategy = Normalization.coerce(strategy)
     b_eig = _normalize(_qubit_density(target, tol), strategy)
     axis = np.linspace(-1.0, 1.0, resolution)
@@ -344,11 +386,13 @@ def disc_grid(
     states = _symmetrized(_bloch_states(x, z))
     a_eig = _normalize(_psd_spectrum(states, tol, name="disc state"), strategy)
     del states
-    contained, top = _top_eigenvalue(a_eig, b_eig, tol)
-    del a_eig
+    support = _support(b_eig[1], b_eig[2], tol)
+    contained = _contained(a_eig[0], support[1], tol)
     k = np.zeros(x.shape)
-    if top is not None:
+    if np.count_nonzero(contained):
+        top = _top_eigenvalue(a_eig[1], a_eig[2], support)
         k[contained] = np.minimum(1.0, 1.0 / top[contained])
+    del a_eig
     return list(zip(x.tolist(), z.tolist(), k.tolist()))
 
 

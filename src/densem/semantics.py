@@ -174,10 +174,14 @@ def evaluate(
     The contraction runs as a sequence of pairwise steps planned by
     ``np.einsum_path`` (greedy).  The plan depends only on the pattern and
     the dimensions of each word's positions, so it is made once per such
-    structure and cached.  Its cost, the sum over the steps of the product
-    of the dimensions each step touches, must not exceed
-    ``MAX_CONTRACTION_FLOPS``: a costlier plan raises ``TensorTooLarge``
-    before any contraction runs.
+    structure and cached, with every step stored ready to run: the
+    positions of its operands and its ``np.tensordot`` axes, or, for a step
+    that ``tensordot`` cannot express, its ``np.einsum`` subscripts.  A
+    call runs the stored steps and one final transpose to the output
+    labels; nothing is parsed or planned again.  The plan's cost, the sum
+    over the steps of the product of the dimensions each step touches, must
+    not exceed ``MAX_CONTRACTION_FLOPS``: a costlier plan raises
+    ``TensorTooLarge`` before any contraction runs.
     """
     dims: list[int] = []
     counts = []
@@ -190,12 +194,21 @@ def evaluate(
             )
         dims.extend(type_dims)
         counts.append(len(type_dims))
-    labels, out_labels, path = _plan(pattern, tuple(dims), tuple(counts))
-    operands: list = []
-    for (tensor, _), word_labels in zip(words, labels):
-        operands.extend((tensor.entries, word_labels))
-    entries = np.einsum(*operands, out_labels, optimize=path)
+    steps, out_axes = _plan(pattern, tuple(dims), tuple(counts))
+    operands = [tensor.entries for tensor, _ in words]
+    for positions, axes, subscripts in steps:
+        args = [operands.pop(k) for k in positions]
+        if subscripts is None:
+            operands.append(np.tensordot(*args, axes))
+        else:
+            operands.append(np.einsum(subscripts, *args))
+    entries = operands[0].transpose(out_axes)
     return DensityTensor(tuple(dims[p] for p in pattern.survivors), entries)
+
+
+# numpy's einsum names integer labels by these letters, in this order.
+# Spelled out: importing the string module would cost each process ~1.5 ms.
+_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 @lru_cache(maxsize=256)
@@ -203,11 +216,18 @@ def _plan(pattern: ReductionPattern, dims: tuple[int, ...], counts: tuple[int, .
     """Check a contraction structure and plan it once.
 
     ``dims`` gives the dimension of every position and ``counts`` the
-    number of positions of each word, in order.  Returns the einsum labels
-    of each word, the output labels and the planned path.  Position ``p``
-    carries ket label ``p`` and bra label ``n + p``; a match relabels its
-    right position with its left one, so a label ``l`` has dimension
+    number of positions of each word, in order.  Position ``p`` carries
+    ket label ``p`` and bra label ``n + p``; a match relabels its right
+    position with its left one, so a label ``l`` has dimension
     ``dims[l % n]``.
+
+    Returns the steps of the greedy path and the axis order that takes
+    the last result to the output labels.  A step is ``(positions, axes,
+    subscripts)``: it pops the operands at ``positions`` in that order and
+    appends its result.  It runs ``np.tensordot`` over ``axes`` when it
+    joins two operands that repeat no label, and otherwise ``np.einsum``
+    over ``subscripts``.  Each step pops, sums and orders its operands as
+    ``np.einsum(..., optimize=path)`` would, so the results are the same.
     """
     n = len(dims)
     matched: set[int] = set()
@@ -244,21 +264,48 @@ def _plan(pattern: ReductionPattern, dims: tuple[int, ...], counts: tuple[int, .
     for word_labels in labels:
         shape = tuple(dims[label % n] for label in word_labels)
         stand_ins.extend((np.broadcast_to(0.0, shape), word_labels))
-    path = np.einsum_path(*stand_ins, out_labels, optimize="greedy")[0]
+    path = np.einsum_path(*stand_ins, out_labels, optimize="greedy")[0][1:]
 
-    live = [set(word_labels) for word_labels in labels]
+    # Each live operand's labels as einsum orders them (``order``) and as
+    # its array holds them (``held``); they differ after a tensordot.
+    order = list(labels)
+    held = list(labels)
+    steps = []
     cost = 0
-    for step in path[1:]:
-        touched = set().union(*(live[k] for k in step))
-        for k in sorted(step, reverse=True):
-            del live[k]
+    for number, step in enumerate(path):
+        positions = tuple(sorted(step, reverse=True))
+        terms = [order.pop(k) for k in positions]
+        args = [held.pop(k) for k in positions]
+        touched = set().union(*terms)
         cost += prod(dims[label % n] for label in touched)
-        live.append({l for l in touched if l in out_labels or any(l in s for s in live)})
+        kept = set(out_labels).union(*order)
+        if number == len(path) - 1:
+            result = out_labels
+        else:
+            # einsum orders an intermediate by dimension, then by letter.
+            result = tuple(
+                sorted(
+                    (l for l in touched if l in kept),
+                    key=lambda l: (dims[l % n], _SYMBOLS[l]),
+                )
+            )
+        if len(args) == 2 and not any(len(set(t)) < len(t) for t in terms):
+            # Summed in the order the left operand's einsum term lists them.
+            summed = [l for l in terms[0] if l in terms[1]]
+            axes = tuple(tuple(arg.index(l) for l in summed) for arg in args)
+            steps.append((positions, axes, None))
+            held.append(tuple(l for arg in args for l in arg if l not in summed))
+        else:
+            inputs = ",".join("".join(_SYMBOLS[l] for l in arg) for arg in args)
+            subscripts = inputs + "->" + "".join(_SYMBOLS[l] for l in result)
+            steps.append((positions, None, subscripts))
+            held.append(result)
+        order.append(result)
     if cost > MAX_CONTRACTION_FLOPS:
         raise TensorTooLarge(
             f"contraction plan costs {cost} flops, over the cap of {MAX_CONTRACTION_FLOPS}"
         )
-    return tuple(labels), out_labels, tuple(path)
+    return tuple(steps), tuple(held[0].index(l) for l in out_labels)
 
 
 def snake_check(dim: int) -> bool:

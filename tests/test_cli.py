@@ -358,6 +358,25 @@ class TestDisc:
         assert code == 1
         assert "resolution" in err
 
+    def test_resolution_over_the_cap(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys,
+            "disc",
+            "--target-x",
+            "0.0",
+            "--target-z",
+            "0.0",
+            "--resolution",
+            "100000",
+            "--out",
+            str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: resolution 100000")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestUsage:
     def test_missing_required_option(self, capsys):

@@ -1,12 +1,15 @@
 """Tests for the graded entailment calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densem import entailment
 from densem.entailment import (
+    MAX_DISC_POINTS,
     EntailmentResult,
     FiniteSetProposition,
     Normalization,
@@ -27,6 +30,7 @@ from densem.errors import (
     EmptyProposition,
     NotDensityOperator,
     NotPositiveSemidefinite,
+    NotSymmetric,
     OutsideDiscError,
     ResolutionError,
     StrengthRangeError,
@@ -185,16 +189,36 @@ class TestScaleAndRotation:
             assert not supports_contained(a, c * b)
 
 
+def _names(eigensolves):
+    return [solver.__name__ for solver in eigensolves]
+
+
 class TestEigensolveCounts:
-    """One eigensolve per operand, plus one r x r solve for a strength."""
+    """One eigensolve per operand, plus one r x r solve for a strength.
+
+    ``B`` is factorised first; ``A`` gets eigenvectors only when contained.
+    """
 
     def test_k_max_contained(self, eigensolves):
         k_max(np.diag([1.0, 0.0, 0.0]), np.diag([0.5, 0.5, 0.0]))
-        assert len(eigensolves) == 3
+        assert _names(eigensolves) == ["eigh", "eigh", "eigvalsh"]
 
     def test_k_max_not_contained(self, eigensolves):
         k_max(BLOCK_A, BLOCK_B)
-        assert len(eigensolves) == 2
+        assert _names(eigensolves) == ["eigh", "eigvalsh"]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.diag([1.0, 0.0, 0.0]), np.diag([0.5, 0.5, 0.0])), (BLOCK_A, BLOCK_B)],
+        ids=["contained", "not contained"],
+    )
+    def test_supports_contained_skips_the_strength(self, a, b, eigensolves):
+        supports_contained(a, b)
+        assert _names(eigensolves) == ["eigh", "eigvalsh"]
+
+    def test_general_error(self, eigensolves):
+        general_error(BLOCK_A, BLOCK_B)
+        assert _names(eigensolves) == ["eigvalsh", "eigvalsh", "eigh"]
 
     def test_disc_grid_target_factorised_once(self, eigensolves):
         # At resolution 2 every lattice point is a corner outside the disc,
@@ -208,7 +232,7 @@ class TestEigensolveCounts:
         # over all 7,845 disc points.
         rows = disc_grid(from_bloch(0.4408389, 0.6067627), 101, strategy)
         assert len(rows) == 7845
-        assert [solver.__name__ for solver in eigensolves] == ["eigh", "eigh", "eigvalsh"]
+        assert _names(eigensolves) == ["eigh", "eigh", "eigvalsh"]
 
     @pytest.mark.parametrize(
         "primitive", [pseudo_inverse, sqrt_psd, support_projector, bayes_transform]
@@ -216,6 +240,31 @@ class TestEigensolveCounts:
     def test_primitives_factorise_once(self, primitive, eigensolves):
         primitive(random_psd(np.random.default_rng(63), 4))
         assert len(eigensolves) == 1
+
+
+class TestChecksOnTheLazyPath:
+    """Without ``A``'s eigenvectors, every check on ``A`` still runs."""
+
+    @pytest.mark.parametrize("query", [k_max, supports_contained])
+    def test_non_psd_a_named_when_not_contained(self, query):
+        with pytest.raises(NotPositiveSemidefinite, match="^A is not"):
+            query(np.diag([1.0, -1.0, 0.0]), BLOCK_B)
+
+    def test_small_uncontained_a_is_a_zero_operator(self):
+        assert not supports_contained(1e-13 * BLOCK_A, BLOCK_B)
+        with pytest.raises(ZeroOperatorError):
+            k_max(1e-13 * BLOCK_A, BLOCK_B)
+
+    @pytest.mark.parametrize("query", [k_max, supports_contained])
+    def test_asymmetric_a_refused_before_b(self, query, eigensolves):
+        with pytest.raises(NotSymmetric):
+            query(np.array([[1.0, 1.0], [0.0, 1.0]]), -np.eye(2))
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("query", [k_max, supports_contained])
+    def test_shape_mismatch(self, query):
+        with pytest.raises(DimensionMismatch):
+            query(np.eye(2), np.eye(3))
 
 
 class TestGeneralError:
@@ -423,6 +472,24 @@ class TestDiscGrid:
     def test_small_resolution_rejected(self):
         with pytest.raises(ResolutionError):
             disc_grid(from_bloch(0.0, 0.0), 1, "maxeig")
+
+    def test_resolution_over_the_cap_refused_before_any_array(self):
+        assert MAX_DISC_POINTS < 1025 * 1025
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match="over the cap"):
+                disc_grid(from_bloch(0.0, 0.0), 1025, "maxeig")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_cap_counts_lattice_points(self, monkeypatch):
+        monkeypatch.setattr(entailment, "MAX_DISC_POINTS", 11 * 11)
+        # 81 of the 121 lattice points lie in the disc.
+        assert len(disc_grid(from_bloch(0.0, 0.0), 11, "maxeig")) == 81
+        with pytest.raises(ResolutionError):
+            disc_grid(from_bloch(0.0, 0.0), 12, "maxeig")
 
     def test_target_must_be_density(self):
         with pytest.raises(NotDensityOperator):

@@ -228,11 +228,15 @@ class TestEvaluate:
         assert w[0] >= -1e-9 * max(1.0, w[-1])
 
 
-WORD_TYPES = {"N": "n", "A": "n n.l", "V": "n.r s n.l"}
+# "X" is a word whose type contracts internally: its n meets its own n.r.
+WORD_TYPES = {"N": "n", "A": "n n.l", "V": "n.r s n.l", "X": "n n.r s"}
 
 
-def random_sentence(rng, kinds, n, s):
-    """Random PSD word tensors for a template such as "ANVN", with its pattern."""
+def random_sentence(rng, kinds, n, s, target=None):
+    """Random PSD word tensors for a template such as "ANVN", with its pattern.
+
+    The target type defaults to ``s`` for a template with a verb, else ``n``.
+    """
     spaces = {"n": n, "s": s}
     types = [parse_type(WORD_TYPES[k]) for k in kinds]
     words = []
@@ -240,8 +244,9 @@ def random_sentence(rng, kinds, n, s):
         dims = semantics.space_dims(ptype, spaces)
         matrix = random_psd(rng, int(np.prod(dims)), rank=int(rng.integers(1, 3)))
         words.append((DensityTensor.from_matrix(matrix, dims), ptype))
-    target = parse_type("n" if "V" not in kinds else "s")
-    pattern = reduce(types, target)
+    if target is None:
+        target = "n" if "V" not in kinds else "s"
+    pattern = reduce(types, parse_type(target))
     assert pattern is not None
     return words, pattern, spaces
 
@@ -297,6 +302,40 @@ class TestPlannedContraction:
         assert len(calls) == 1
         evaluate(*random_sentence(rng, "ANVN", 3, 3))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("kinds, target", [("X", "s"), ("NX", "n s"), ("XX", "s s")])
+    @pytest.mark.parametrize("n, s", [(1, 2), (2, 3), (3, 1), (3, 2)])
+    def test_word_contracting_internally(self, kinds, target, n, s):
+        words, pattern, spaces = random_sentence(
+            np.random.default_rng(n * 10 + s), kinds, n, s, target
+        )
+        # The pattern matches an X's n with its own n.r.
+        word_of = [w for w, (_, ptype) in enumerate(words) for _ in ptype.simples]
+        assert any(word_of[i] == word_of[j] for i, j in pattern.matches)
+        result = evaluate(words, pattern, spaces).entries
+        expected = naive_contraction(words, pattern)
+        assert result.shape == expected.shape
+        assert np.abs(result - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_cached_structure_runs_without_the_planner(self, monkeypatch):
+        calls = []
+        # np.einsum(..., optimize=...) reaches the planner through the
+        # globals of numpy's einsum module, not through the np attribute.
+        einsum_globals = np.einsum_path.__wrapped__.__globals__
+        planner = np.einsum_path
+
+        def counting_planner(*args, **kwargs):
+            calls.append(args)
+            return planner(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counting_planner)
+        monkeypatch.setitem(einsum_globals, "einsum_path", counting_planner)
+        semantics._plan.cache_clear()
+        sentence = random_sentence(np.random.default_rng(7), "AANVAN", 2, 3)
+        evaluate(*sentence)
+        assert len(calls) == 1
+        evaluate(*sentence)
+        assert len(calls) == 1
 
     def test_six_word_sentence_is_fast(self):
         words, pattern, spaces = random_sentence(np.random.default_rng(11), "AANVAN", 6, 6)
