@@ -40,13 +40,13 @@ from .pregroup import (
     reduce,
 )
 from .psd import (
-    EigenDecomposition,
+    Spectrum,
     Tolerances,
-    eig,
     is_psd,
     loewner_leq,
     pseudo_inverse,
     satisfaction,
+    spectrum,
     sqrt_psd,
     support_projector,
 )
@@ -68,13 +68,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "EigenDecomposition",
+    "Spectrum",
     "Tolerances",
-    "eig",
     "is_psd",
     "loewner_leq",
     "pseudo_inverse",
     "satisfaction",
+    "spectrum",
     "sqrt_psd",
     "support_projector",
     "PregroupType",

@@ -104,11 +104,11 @@ def cmd_compose(
     lexicon = load_lexicon(lexicon_path)
     target = parse_type(target_text)
     tensor, _ = compose_sentence(lexicon, sentence, target, frobenius_pronouns)
-    matrix = normalize(tensor.matrix, strategy)
+    factor = normalize(tensor.spectrum, strategy)
     click.echo(f"type: {target}")
-    _echo_matrix(matrix)
-    click.echo("trace: " + format_float(float(np.trace(matrix))))
-    click.echo("max_eigenvalue: " + format_float(float(np.linalg.eigvalsh(matrix)[-1])))
+    _echo_matrix(factor.matrix)
+    click.echo("trace: " + format_float(float(np.trace(factor.matrix))))
+    click.echo("max_eigenvalue: " + format_float(float(factor.w.max())))
     return 0
 
 
@@ -131,7 +131,7 @@ def cmd_entail(
     tensor_a, entries_a = compose_sentence(lexicon, sentence_a, target)
     tensor_b, entries_b = compose_sentence(lexicon, sentence_b, target)
     result = k_max(
-        normalize(tensor_a.matrix, strategy), normalize(tensor_b.matrix, strategy)
+        normalize(tensor_a.spectrum, strategy), normalize(tensor_b.spectrum, strategy)
     )
     click.echo("supports_contained: " + ("yes" if result.supports_contained else "no"))
     click.echo(

@@ -3,8 +3,9 @@
 ``A`` entails ``B`` with strength ``k`` in (0, 1] when ``B - kA`` is
 positive semidefinite.  Such a ``k`` exists exactly when the support of
 ``A`` is contained in the support of ``B``, and the largest one is the
-reciprocal of the top eigenvalue of ``pinv(B) @ A``.  Each operand is
-validated and factorised by one symmetric eigensolve.  ``B`` is factorised
+reciprocal of the top eigenvalue of ``pinv(B) @ A``.  Each operand is a
+matrix, validated and factorised by one symmetric eigensolve, or its
+:class:`~densem.psd.Spectrum`, which is not solved again.  ``B`` is factorised
 first, into its support eigenpairs ``U, L`` (after the rank cut).  The
 supports are contained when ``||A - U U^T A||`` is at most
 ``compare_tol * ||A||``, a test that needs no factorisation of ``A``; so
@@ -12,10 +13,10 @@ supports are contained when ``||A - U U^T A||`` is at most
 ``V`` beside the eigenvalues ``M`` only when the supports are contained.
 The top eigenvalue is then that of the ``r x r`` matrix ``X X^T`` with
 ``X = L^(-1/2) U^T V M^(1/2)``, which shares its nonzero spectrum with
-``pinv(B) @ A``.  The same kernel takes a stack of operands ``A`` against
-one ``B``: ``disc_grid`` evaluates its whole lattice of disc states with
-one stacked eigensolve and one stacked ``r x r`` eigenvalue solve,
-whatever the resolution.
+``pinv(B) @ A``.  The same kernel takes a stacked factor of operands ``A``
+against one ``B``: ``disc_grid`` evaluates its whole lattice of disc
+states with one stacked eigensolve and one stacked ``r x r`` eigenvalue
+solve, whatever the resolution.
 
 The module also provides the additive error decomposition ``A + D = B + E``
 for operators that are not comparable at any strength, the finite-set
@@ -45,16 +46,16 @@ from .errors import (
 from .psd import (
     DEFAULT_TOL,
     DENSITY_TRACE_ATOL,
+    Spectrum,
     Tolerances,
+    _eigensolve,
     _psd_eigh,
     _psd_spectrum,
-    _spectrum,
     _support,
     _sym,
+    _symmetric,
     _symmetrized,
-    as_symmetric,
     is_psd,
-    require_psd,
 )
 
 ZERO_NORM_ATOL = 1e-12
@@ -120,30 +121,32 @@ class ErrorDecomposition:
     deficit: np.ndarray
 
 
-def _operands(a, b, tol: Tolerances):
-    """Validate both operands, each by one eigenvalue solve: ``(A, B)``."""
-    A = require_psd(a, tol, name="A")
-    B = require_psd(b, tol, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
-    return A, B
+def _pair(a, b, tol: Tolerances, vectors: bool):
+    """Validate both operands, in the order every query runs the checks.
+
+    Runs ``a``'s shape, finiteness and symmetry rules, ``b``'s eigensolve
+    (with eigenvectors if ``vectors``) and PSD rule, and the shape check.
+    Returns ``a`` (a factor, or the validated array) for the caller to put
+    through the PSD rule, its matrix, and ``b``'s factor.
+    """
+    a = _symmetric(a)
+    B = _psd_eigh(b, tol, name="B", vectors=vectors)
+    A = a.matrix if isinstance(a, Spectrum) else a
+    if A.shape != B.matrix.shape:
+        raise DimensionMismatch(f"shape {A.shape} vs {B.matrix.shape}")
+    return a, A, B
 
 
 def _containment(a, b, tol: Tolerances, vectors: bool):
     """Validate both operands and decide whether ``A``'s support lies in ``B``'s.
 
-    Runs the checks in the order ``k_max`` documents.  ``A``'s eigensolve
-    computes eigenvectors only when ``vectors`` is asked for and ``A`` is
-    contained.  Returns ``(a_eig, support, contained)``: ``A``'s
-    ``(A, w, v)``, ``B``'s support eigenpairs ``(L, U)`` and the decision.
+    ``A`` gets eigenvectors only when ``vectors`` is asked for and it is
+    contained.  Returns ``A``'s factor, ``B``'s support ``(L, U)`` and the decision.
     """
-    A = as_symmetric(a)
-    B, w_b, v_b = _psd_eigh(b, tol, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.shape}")
-    support = _support(w_b, v_b, tol)
+    a, A, B = _pair(a, b, tol, vectors=True)
+    support = _support(B, tol)
     contained = bool(_contained(A, support[1], tol))
-    return _psd_spectrum(A, tol, "A", vectors and contained), support, contained
+    return _psd_spectrum(a, tol, "A", vectors and contained), support, contained
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -161,23 +164,24 @@ def _contained(A: np.ndarray, u: np.ndarray, tol: Tolerances) -> np.ndarray:
     return residual <= tol.compare_tol * _frobenius(A)
 
 
-def _top_eigenvalue(w_a: np.ndarray, v_a: np.ndarray, support) -> np.ndarray:
+def _top_eigenvalue(a: Spectrum, support) -> np.ndarray:
     """The strength kernel: top eigenvalue of ``pinv(B) @ A``.
 
-    Takes ``A``'s eigenpairs ``w_a, v_a``, which may be stacked
-    ``(..., n)`` and ``(..., n, n)``, and ``B``'s support eigenpairs
-    ``(L, U)``.  Each top eigenvalue means something only where ``A`` is
-    contained; it comes from one stacked ``r x r`` eigenvalue solve.
+    Takes ``A``'s factor with eigenvectors, which may be a stack, and
+    ``B``'s support eigenpairs ``(L, U)``.  Each top eigenvalue means
+    something only where ``A`` is contained; it comes from one stacked
+    ``r x r`` eigenvalue solve.
     """
     lam, u = support
-    x = (u.T @ v_a) * np.sqrt(np.clip(w_a, 0.0, None))[..., None, :] / np.sqrt(lam)[:, None]
-    w, _ = _spectrum(_sym(x @ x.swapaxes(-1, -2)), vectors=False)
+    x = (u.T @ a.v) * np.sqrt(np.clip(a.w, 0.0, None))[..., None, :] / np.sqrt(lam)[:, None]
+    w, _ = _eigensolve(_sym(x @ x.swapaxes(-1, -2)), vectors=False)
     return w.max(axis=-1, initial=0.0)
 
 
 def supports_contained(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the support of ``a`` lies inside the support of ``b``."""
-    return _containment(a, b, tol, vectors=False)[2]
+    _, _, contained = _containment(a, b, tol, vectors=False)
+    return contained
 
 
 def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -185,8 +189,9 @@ def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     strength = float(k)
     if not 0.0 < strength <= 1.0:
         raise StrengthRangeError(f"strength {strength!r} is outside (0, 1]")
-    A, B = _operands(a, b, tol)
-    return is_psd(B - strength * A, tol)
+    a, A, B = _pair(a, b, tol, vectors=False)
+    _psd_spectrum(a, tol, "A", vectors=False)
+    return is_psd(B.matrix - strength * A, tol)
 
 
 def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
@@ -199,16 +204,17 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
     symmetry; ``b``'s eigensolve and PSD rule; the shapes against each
     other; the containment residual; ``a``'s eigensolve and PSD rule, with
     eigenvectors only when contained; the zero-operator check; and, only
-    when contained, the ``r x r`` strength solve.  So a pair that is not
-    contained costs one ``eigh`` and one ``eigvalsh``, and a contained pair
-    two ``eigh`` and one ``eigvalsh``.
+    when contained, the ``r x r`` strength solve.  So a pair of matrices
+    that is not contained costs one ``eigh`` and one ``eigvalsh``, a
+    contained pair two ``eigh`` and one ``eigvalsh``, and two factors with
+    eigenvectors at most the ``r x r`` solve.
     """
-    (A, w_a, v_a), support, contained = _containment(a, b, tol, vectors=True)
-    if float(np.linalg.norm(A)) <= ZERO_NORM_ATOL:
+    A, support, contained = _containment(a, b, tol, vectors=True)
+    if float(np.linalg.norm(A.matrix)) <= ZERO_NORM_ATOL:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
     if not contained:
         return EntailmentResult(False, None, None, None)
-    top = float(_top_eigenvalue(w_a, v_a, support))
+    top = float(_top_eigenvalue(A, support))
     if top <= 0.0:
         raise ZeroOperatorError("entailment strength is undefined for the zero operator")
     raw = 1.0 / top
@@ -217,8 +223,9 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
 
 def general_error(a, b, tol: Tolerances = DEFAULT_TOL) -> ErrorDecomposition:
     """Split ``A - B`` spectrally into PSD excess and deficit terms."""
-    A, B = _operands(a, b, tol)
-    w, v = _spectrum(A - B)
+    a, A, B = _pair(a, b, tol, vectors=False)
+    _psd_spectrum(a, tol, "A", vectors=False)
+    w, v = _eigensolve(A - B.matrix)
     # Each part from its own sign's eigenpairs only: the others add zeros.
     positive, negative = w > 0.0, w < 0.0
     excess = _sym((v[:, positive] * w[positive]) @ v[:, positive].T)
@@ -261,11 +268,11 @@ def set_entailment(
     return entails, error_size
 
 
-def normalize(matrix, strategy, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Rescale or transform a PSD matrix by the chosen strategy."""
+def normalize(matrix, strategy, tol: Tolerances = DEFAULT_TOL):
+    """Rescale or transform a PSD matrix or factor; returns the kind it was given."""
     strategy = Normalization.coerce(strategy)
-    vectors = strategy is Normalization.BAYESIAN
-    return _normalize(_psd_eigh(matrix, tol, vectors=vectors), strategy)[0]
+    s = _normalize(_psd_eigh(matrix, tol, vectors=strategy is Normalization.BAYESIAN), strategy)
+    return s if isinstance(matrix, Spectrum) else s.matrix
 
 
 def bayes_transform(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -274,31 +281,29 @@ def bayes_transform(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     With eigenvalues ``d_0 >= d_1 >= ...`` the output eigenvalues are
     ``d_0, d_0*d_1, d_0*d_1*d_2, ...`` on the unchanged eigenvectors.
     """
-    return _normalize(_psd_eigh(matrix, tol), Normalization.BAYESIAN)[0]
+    return _normalize(_psd_eigh(matrix, tol), Normalization.BAYESIAN).matrix
 
 
-def _normalize(m_eig, strategy: Normalization):
-    """Normalize a validated ``(m, w, v)`` and carry its factorisation along.
+def _normalize(s: Spectrum, strategy: Normalization) -> Spectrum:
+    """Normalize a validated factor, which may be a stack, and its eigenpairs.
 
-    ``m`` may be a stack ``(..., n, n)``, with ``w`` and ``v`` stacked alike.
-    ``w`` comes in ascending order; after ``bayes`` it is no longer sorted.
+    ``bayes`` needs the eigenvectors, and lists its products from the top down.
     """
-    m, w, v = m_eig
     if strategy is Normalization.NONE:
-        return m_eig
+        return s
     if strategy is Normalization.BAYESIAN:
-        products = np.cumprod(np.clip(w[..., ::-1], 0.0, None), axis=-1)
-        v = v[..., ::-1]
-        return _sym((v * products[..., None, :]) @ v.swapaxes(-1, -2)), products, v
+        products = np.cumprod(np.clip(s.w[..., ::-1], 0.0, None), axis=-1)
+        v = s.v[..., ::-1]
+        return Spectrum(_sym((v * products[..., None, :]) @ v.swapaxes(-1, -2)), products, v)
     if strategy is Normalization.TRACE_ONE:
-        divisor = m.trace(axis1=-2, axis2=-1)
+        divisor = s.matrix.trace(axis1=-2, axis2=-1)
         if np.count_nonzero(divisor <= ZERO_NORM_ATOL):
             raise ZeroOperatorError("cannot trace-normalize the zero operator")
     else:
-        divisor = w[..., -1]
+        divisor = s.w.max(axis=-1)
         if np.count_nonzero(divisor <= ZERO_NORM_ATOL):
             raise ZeroOperatorError("cannot eigenvalue-normalize the zero operator")
-    return m / divisor[..., None, None], w / divisor[..., None], v
+    return Spectrum(s.matrix / divisor[..., None, None], s.w / divisor[..., None], s.v)
 
 
 def from_bloch(x: float, z: float) -> np.ndarray:
@@ -317,27 +322,24 @@ def _bloch_states(x, z) -> np.ndarray:
     return 0.5 * (np.eye(2) + x * _PAULI_X + z * _PAULI_Z)
 
 
-def _qubit_density(matrix, tol: Tolerances):
-    """Validate a 2x2 trace-1 PSD matrix and factorise it with one eigensolve.
-
-    Returns the ``(m, w, v)`` of ``_psd_eigh``.
-    """
+def _qubit_density(matrix, tol: Tolerances) -> Spectrum:
+    """Validate a 2x2 trace-1 PSD matrix and factorise it with one eigensolve."""
     shape = np.shape(matrix)
     if shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got shape {shape}")
     try:
-        m_eig = _psd_eigh(matrix, tol)
+        s = _psd_eigh(matrix, tol)
     except NotPositiveSemidefinite as exc:
         raise NotDensityOperator(str(exc)) from exc
-    trace = float(np.trace(m_eig[0]))
+    trace = float(np.trace(s.matrix))
     if abs(trace - 1.0) > DENSITY_TRACE_ATOL:
         raise NotDensityOperator(f"trace {trace!r} is not 1")
-    return m_eig
+    return s
 
 
 def to_bloch(matrix) -> tuple[float, float]:
     """Disc coordinates of a 2x2 trace-1 PSD matrix; inverts from_bloch."""
-    m = _qubit_density(matrix, DEFAULT_TOL)[0]
+    m = _qubit_density(matrix, DEFAULT_TOL).matrix
     return float(2.0 * m[0, 1]), float(m[0, 0] - m[1, 1])
 
 
@@ -375,7 +377,7 @@ def disc_grid(
             f"over the cap of {MAX_DISC_POINTS}"
         )
     strategy = Normalization.coerce(strategy)
-    b_eig = _normalize(_qubit_density(target, tol), strategy)
+    b = _normalize(_qubit_density(target, tol), strategy)
     axis = np.linspace(-1.0, 1.0, resolution)
     x = np.tile(axis, resolution)
     z = np.repeat(axis[::-1], resolution)
@@ -384,15 +386,15 @@ def disc_grid(
     if not x.size:
         return []
     states = _symmetrized(_bloch_states(x, z))
-    a_eig = _normalize(_psd_spectrum(states, tol, name="disc state"), strategy)
+    a = _normalize(_psd_spectrum(states, tol, name="disc state"), strategy)
     del states
-    support = _support(b_eig[1], b_eig[2], tol)
-    contained = _contained(a_eig[0], support[1], tol)
+    support = _support(b, tol)
+    contained = _contained(a.matrix, support[1], tol)
     k = np.zeros(x.shape)
     if np.count_nonzero(contained):
-        top = _top_eigenvalue(a_eig[1], a_eig[2], support)
+        top = _top_eigenvalue(a, support)
         k[contained] = np.minimum(1.0, 1.0 / top[contained])
-    del a_eig
+    del a
     return list(zip(x.tolist(), z.tolist(), k.tolist()))
 
 

@@ -292,9 +292,10 @@ def word_product_bound(
     """The product of the word-by-word strengths of two sentences.
 
     The paper's lower bound on the strength of sentence A into sentence B
-    when both share one grammatical structure.  Raises
-    :class:`StructureMismatch` when the sentences differ in length or word
-    types, or when a word of A has no strength into its counterpart in B.
+    when both share one grammatical structure, from the words' stored
+    factors at one ``r x r`` solve a pair.  Raises :class:`StructureMismatch`
+    when the sentences differ in length or word types, or when a word of A
+    has no strength into its counterpart in B.
     """
     if len(entries_a) != len(entries_b) or any(
         a.type != b.type for a, b in zip(entries_a, entries_b)
@@ -303,8 +304,8 @@ def word_product_bound(
     bound = 1.0
     for a, b in zip(entries_a, entries_b):
         result = k_max(
-            word_meaning(a, lexicon.spaces).matrix,
-            word_meaning(b, lexicon.spaces).matrix,
+            word_meaning(a, lexicon.spaces).spectrum,
+            word_meaning(b, lexicon.spaces).spectrum,
         )
         if not result.supports_contained:
             raise StructureMismatch(

@@ -1,15 +1,18 @@
 """Primitives for real symmetric positive-semidefinite matrices.
 
-All operations take and return plain ``numpy.ndarray`` values.  Inputs are
-validated (square, finite, symmetric within a relative tolerance of 1e-12)
-and every matrix product is re-symmetrized by averaging with its transpose
-to suppress round-off drift.  Rank and PSD decisions use the relative
-tolerances collected in :class:`Tolerances`.
+Inputs are validated (square, finite, symmetric within a relative tolerance
+of 1e-12) and every matrix product is re-symmetrized by averaging with its
+transpose to suppress round-off drift.  A validated matrix and its
+eigendecomposition travel together as one :class:`Spectrum`.  The PSD rule
+and the rank cut read its eigenvalues under the caller's relative
+:class:`Tolerances`, with no eigensolve, so a factor gives the decision its
+matrix gives under any tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -54,6 +57,22 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+# Compared by identity: a field-wise == would compare arrays and raise.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A validated symmetric matrix (or ``(..., n, n)`` stack) and its factor.
+
+    ``w`` holds the ascending eigenvalues and ``v[..., :, i]`` the
+    eigenvector of ``w[..., i]``, or ``v`` is ``None`` when only eigenvalues
+    were computed.  After ``bayes`` normalization ``w`` is nonnegative but
+    need not be sorted.  Build one with :func:`spectrum`.
+    """
+
+    matrix: np.ndarray
+    w: np.ndarray
+    v: Optional[np.ndarray]
+
+
 def as_symmetric(matrix) -> np.ndarray:
     """Validate a square real symmetric matrix and return it as float64.
 
@@ -87,7 +106,12 @@ def _sym(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
-def _spectrum(matrix: np.ndarray, vectors: bool = True):
+def _symmetric(x):
+    """A factor as it is; anything else validated by ``as_symmetric``."""
+    return x if isinstance(x, Spectrum) else as_symmetric(x)
+
+
+def _eigensolve(matrix: np.ndarray, vectors: bool = True):
     """Ascending eigenvalues of a symmetric array and, if asked, eigenvectors."""
     try:
         if vectors:
@@ -97,24 +121,35 @@ def _spectrum(matrix: np.ndarray, vectors: bool = True):
         raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc
 
 
-def _psd_eigh(matrix, tol: Tolerances, name: str = "matrix", vectors: bool = True):
-    """Validate a symmetric PSD matrix with one eigensolve.
+def _solved(x, vectors: bool) -> Spectrum:
+    """Factorise a validated array, or a factor lacking the vectors asked for."""
+    if isinstance(x, Spectrum):
+        if x.v is not None or not vectors:
+            return x
+        x = x.matrix
+    return Spectrum(x, *_eigensolve(x, vectors))
 
-    Returns ``(m, w, v)``: the clean array, its ascending eigenvalues and
-    their eigenvectors (``None`` unless ``vectors``).
+
+def spectrum(matrix) -> Spectrum:
+    """The factor of any symmetric matrix, PSD or not, by one eigensolve."""
+    return _solved(_symmetric(matrix), vectors=True)
+
+
+def _psd_eigh(matrix, tol: Tolerances, name: str = "matrix", vectors: bool = True) -> Spectrum:
+    """Validate a symmetric PSD matrix, or a factor, with at most one eigensolve."""
+    return _psd_spectrum(_symmetric(matrix), tol, name, vectors)
+
+
+def _psd_spectrum(m, tol: Tolerances, name: str, vectors: bool = True) -> Spectrum:
+    """The PSD rule on a symmetric ``(..., n, n)`` stack or on its factor.
+
+    Each minimum eigenvalue must be at least ``-psd_tol * max(1,
+    lambda_max)`` of its own matrix.  Solves only what ``_solved`` must.
     """
-    return _psd_spectrum(as_symmetric(matrix), tol, name, vectors)
-
-
-def _psd_spectrum(m: np.ndarray, tol: Tolerances, name: str, vectors: bool = True):
-    """The PSD rule on a symmetric ``(..., n, n)`` stack, by one stacked eigensolve.
-
-    Each minimum eigenvalue must be at least ``-psd_tol * max(1, lambda_max)``
-    of its own matrix.  Returns ``(m, w, v)`` as ``_psd_eigh`` does.
-    """
-    w, v = _spectrum(m, vectors)
+    s = _solved(m, vectors)
     # Each matrix's lowest and top eigenvalue; for one matrix, numpy scalars.
-    low, top = w.T[0], w.T[-1]
+    # A bayes factor is unsorted but nonnegative, so it passes either way.
+    low, top = s.w.T[0], s.w.T[-1]
     # low < -psd_tol * max(1, top) as two comparisons, which on scalars
     # cost less than one np.maximum.
     bad = (low < -tol.psd_tol) & (low < -tol.psd_tol * top)
@@ -122,41 +157,13 @@ def _psd_spectrum(m: np.ndarray, tol: Tolerances, name: str, vectors: bool = Tru
         raise NotPositiveSemidefinite(
             f"{name} is not positive semidefinite (min eigenvalue {low[bad].min():.3e})"
         )
-    return m, w, v
+    return s
 
 
-def _support(w: np.ndarray, v: np.ndarray, tol: Tolerances):
-    """The rank cut: the eigenpairs above ``rank_tol * lambda_max``.
-
-    The zero matrix keeps none.  ``w`` need not be sorted.
-    """
-    keep = w > tol.rank_tol * max(float(w.max()), 0.0)
-    return w[keep], v[:, keep]
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a symmetric matrix.
-
-    ``eigenvalues`` are sorted in descending order and
-    ``eigenvectors[:, i]`` is the orthonormal eigenvector paired with
-    ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return _sym((v * self.eigenvalues) @ v.T)
-
-
-def eig(matrix) -> EigenDecomposition:
-    """Full eigendecomposition with eigenvalues in descending order."""
-    w, v = _spectrum(as_symmetric(matrix))
-    return EigenDecomposition(
-        np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
-    )
+def _support(s: Spectrum, tol: Tolerances):
+    """The rank cut: the eigenpairs ``(w, v)`` above ``rank_tol * lambda_max``."""
+    keep = s.w > tol.rank_tol * max(float(s.w.max()), 0.0)
+    return s.w[keep], s.v[:, keep]
 
 
 def is_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -166,11 +173,6 @@ def is_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     except NotPositiveSemidefinite:
         return False
     return True
-
-
-def require_psd(matrix, tol: Tolerances = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``matrix`` is symmetric PSD, returning the clean array."""
-    return _psd_eigh(matrix, tol, name, vectors=False)[0]
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -188,21 +190,19 @@ def pseudo_inverse(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues above ``rank_tol * lambda_max`` are inverted, the rest are
     zeroed.  The zero matrix maps to the zero matrix.
     """
-    _, w, v = _psd_eigh(matrix, tol)
-    w, v = _support(w, v, tol)
+    w, v = _support(_psd_eigh(matrix, tol), tol)
     return _sym((v / w) @ v.T)
 
 
 def sqrt_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unique PSD square root of a PSD matrix."""
-    _, w, v = _psd_eigh(matrix, tol)
-    return _sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+    s = _psd_eigh(matrix, tol)
+    return _sym((s.v * np.sqrt(np.clip(s.w, 0.0, None))) @ s.v.T)
 
 
 def support_projector(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    _, w, v = _psd_eigh(matrix, tol)
-    _, kept = _support(w, v, tol)
+    _, kept = _support(_psd_eigh(matrix, tol), tol)
     return _sym(kept @ kept.T)
 
 
@@ -218,8 +218,6 @@ def satisfaction(rho, a, tol: Tolerances = DEFAULT_TOL) -> float:
         raise DimensionMismatch(f"shape {r.shape} vs {m.shape}")
     if abs(float(np.trace(r)) - 1.0) > DENSITY_TRACE_ATOL:
         raise NotDensityOperator(f"state trace {float(np.trace(r))!r} is not 1")
-    require_psd(r, tol, name="state")
-    require_psd(m, tol, name="predicate")
-    value = float(np.trace(r @ m))
-    return max(value, 0.0)
-
+    _psd_spectrum(r, tol, "state", vectors=False)
+    _psd_spectrum(m, tol, "predicate", vectors=False)
+    return max(float(np.trace(r @ m)), 0.0)

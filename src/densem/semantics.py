@@ -13,7 +13,7 @@ so reduction patterns only need dimensions, never dual bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from typing import Mapping, Optional, Sequence
@@ -71,12 +71,14 @@ class DensityTensor:
     """A PSD tensor over ``spaces``, stored as (kets..., bras...).
 
     Construction validates shape, finiteness, the ket/bra exchange
-    symmetry and positive semidefiniteness of the flattened matrix, then
-    stores the exactly symmetrized entries.
+    symmetry and positive semidefiniteness of the flattened matrix by one
+    eigensolve, then stores the exactly symmetrized entries and, as
+    ``spectrum``, the flattened matrix's factor.
     """
 
     spaces: tuple[int, ...]
     entries: np.ndarray
+    spectrum: psd.Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spaces = tuple(int(d) for d in self.spaces)
@@ -88,11 +90,12 @@ class DensityTensor:
             raise DimensionMismatch(
                 f"entries shape {entries.shape} does not match spaces {spaces}"
             )
-        entries = psd.require_psd(
-            entries.reshape(dim, dim), name="flattened tensor"
-        ).reshape(spaces + spaces)
+        factor = psd._psd_eigh(
+            entries.reshape(dim, dim), psd.DEFAULT_TOL, name="flattened tensor"
+        )
         object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", factor.matrix.reshape(spaces + spaces))
+        object.__setattr__(self, "spectrum", factor)
 
     @property
     def dim(self) -> int:
@@ -101,7 +104,7 @@ class DensityTensor:
     @property
     def matrix(self) -> np.ndarray:
         """The tensor flattened to a ``dim x dim`` symmetric matrix."""
-        return self.entries.reshape(self.dim, self.dim)
+        return self.spectrum.matrix
 
     @property
     def trace(self) -> float:
@@ -351,16 +354,17 @@ def frobenius_iota(
     m = len(rho.spaces)
     if not 0 <= space_index < m:
         raise IndexError(f"space index {space_index} out of range for {m} spaces")
-    ket_axis = space_index
-    bra_axis = m + space_index
-    if mode == "sum":
-        entries = rho.entries.sum(axis=(ket_axis, bra_axis))
-    elif mode == "trace":
-        entries = np.trace(rho.entries, axis1=ket_axis, axis2=bra_axis)
-    else:
-        raise ValueError(f"unknown deletion mode {mode!r}")
+    deletion = _deletion(mode, rho.spaces[space_index])
+    entries = np.tensordot(rho.entries, deletion, ([space_index, m + space_index], [0, 1]))
     remaining = tuple(d for i, d in enumerate(rho.spaces) if i != space_index)
     return DensityTensor(remaining, entries)
+
+
+def _deletion(mode: str, dim: int) -> np.ndarray:
+    """Weights over one space's ket/bra pair: ones to sum, identity to trace."""
+    if mode not in ("sum", "trace"):
+        raise ValueError(f"unknown deletion mode {mode!r}")
+    return np.ones((dim, dim)) if mode == "sum" else np.eye(dim)
 
 
 def relative_clause(
@@ -385,13 +389,7 @@ def relative_clause(
         raise DimensionMismatch(
             f"object spaces {obj.spaces} do not match verb object space {verb.spaces[2]}"
         )
-    s_dim = verb.spaces[1]
-    if iota_mode == "sum":
-        deletion = np.ones((s_dim, s_dim))
-    elif iota_mode == "trace":
-        deletion = np.eye(s_dim)
-    else:
-        raise ValueError(f"unknown deletion mode {iota_mode!r}")
+    deletion = _deletion(iota_mode, verb.spaces[1])
     entries = np.einsum(
         subj.entries,
         [0, 1],

@@ -316,7 +316,7 @@ class TestPropertySuites:
                 rank_q = int(rng.integers(1, dim + 1))
                 q = random_projector(rng, dim, rank_q)
                 if rng.random() < 0.5:
-                    vq = psd.eig(q).eigenvectors[:, :rank_q]
+                    vq = psd.spectrum(q).v[:, ::-1][:, :rank_q]
                     rank_p = int(rng.integers(1, rank_q + 1))
                     p = vq[:, :rank_p] @ vq[:, :rank_p].T
                 else:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densem import entailment
+from densem import cli, entailment
+from densem.lexicon import load_lexicon, word_product_bound
 from densem.entailment import (
     MAX_DISC_POINTS,
     EntailmentResult,
@@ -36,8 +37,16 @@ from densem.errors import (
     StrengthRangeError,
     ZeroOperatorError,
 )
-from densem.psd import pseudo_inverse, sqrt_psd, support_projector
-from helpers import bisect_max_strength, nested_psd_pair, random_psd
+from densem.psd import (
+    DEFAULT_TOL,
+    Spectrum,
+    Tolerances,
+    pseudo_inverse,
+    spectrum,
+    sqrt_psd,
+    support_projector,
+)
+from helpers import FIXTURES, bisect_max_strength, nested_psd_pair, random_psd
 
 BLOCK_A = np.diag([1.0, 1.0, 0.0])
 BLOCK_B = np.diag([1.0, 0.0, 1.0])
@@ -241,6 +250,54 @@ class TestEigensolveCounts:
         primitive(random_psd(np.random.default_rng(63), 4))
         assert len(eigensolves) == 1
 
+    @pytest.mark.parametrize(
+        "a, b, names",
+        [
+            (np.diag([1.0, 0.0, 0.0]), np.diag([0.5, 0.5, 0.0]), ["eigvalsh"]),
+            (BLOCK_A, BLOCK_B, []),
+        ],
+        ids=["contained", "not contained"],
+    )
+    def test_k_max_on_stored_factors(self, a, b, names, eigensolves):
+        a, b = spectrum(a), spectrum(b)
+        eigensolves.clear()
+        k_max(a, b)
+        assert _names(eigensolves) == names
+
+    def test_word_product_bound_on_loaded_words(self, monkeypatch, eigensolves):
+        lexicon = load_lexicon(FIXTURES / "scoff_eat.json")
+        entries_a = lexicon.lookup_sentence("John scoffs cake")
+        entries_b = lexicon.lookup_sentence("John eats sweets")
+        ranks = [int(np.linalg.matrix_rank(e.meaning.matrix)) for e in entries_b]
+        shapes = []
+        counted = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or counted(m)
+        )
+        eigensolves.clear()
+        assert word_product_bound(lexicon, entries_a, entries_b) == pytest.approx(0.25)
+        # One solve per contained word pair, of the size of B's word's rank.
+        assert _names(eigensolves) == ["eigvalsh"] * 3
+        assert shapes == [(r, r) for r in ranks]
+
+    @pytest.mark.parametrize("strategy", list(Normalization))
+    def test_compose_solves_nothing_after_the_sentence(
+        self, strategy, monkeypatch, capsys, eigensolves
+    ):
+        solves_when_built = []
+        compose_sentence = cli.compose_sentence
+
+        def compose(*args):
+            composed = compose_sentence(*args)
+            solves_when_built.append(len(eigensolves))
+            return composed
+
+        monkeypatch.setattr(cli, "compose_sentence", compose)
+        argv = ["compose", "--lexicon", str(FIXTURES / "scoff_eat.json"),
+                "--normalize", strategy.value, "John scoffs cake"]
+        assert cli.main(argv) == 0
+        assert solves_when_built == [len(eigensolves)]
+
 
 class TestChecksOnTheLazyPath:
     """Without ``A``'s eigenvectors, every check on ``A`` still runs."""
@@ -265,6 +322,79 @@ class TestChecksOnTheLazyPath:
     def test_shape_mismatch(self, query):
         with pytest.raises(DimensionMismatch):
             query(np.eye(2), np.eye(3))
+
+
+def _random_pair(rng):
+    """A seeded PSD pair, contained or not, at d 1-16 and scale 1e-4 to 1e4."""
+    dim = int(rng.integers(1, 17))
+    if rng.random() < 0.5:
+        a, b = nested_psd_pair(rng, dim)
+    else:
+        a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        b = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+    scale = 10.0 ** rng.uniform(-4.0, 4.0)
+    return scale * a, scale * b
+
+
+class TestFactorsGiveTheMatrixResults:
+    """A factor and its matrix give one answer under any tolerances."""
+
+    @pytest.mark.parametrize(
+        "tol",
+        [DEFAULT_TOL, Tolerances(psd_tol=1e-6, rank_tol=1e-7, compare_tol=1e-5)],
+        ids=["default", "loose"],
+    )
+    @pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
+    def test_random_pairs(self, tol, vectors):
+        rng = np.random.default_rng(1601)
+        contained = 0
+        for _ in range(200):
+            a, b = _random_pair(rng)
+            fa, fb = spectrum(a), spectrum(b)
+            if not vectors:  # as built by hand: solved again when vectors are needed
+                fa, fb = Spectrum(fa.matrix, fa.w, None), Spectrum(fb.matrix, fb.w, None)
+            k = float(rng.uniform(0.01, 1.0))
+            expected = k_max(a, b, tol)
+            contained += expected.supports_contained
+            for x, y in [(fa, fb), (fa, b), (a, fb)]:
+                assert k_max(x, y, tol) == expected
+                assert supports_contained(x, y, tol) == expected.supports_contained
+                assert is_k_hyponym(x, y, k, tol) == is_k_hyponym(a, b, k, tol)
+                error, reference = general_error(x, y, tol), general_error(a, b, tol)
+                np.testing.assert_array_equal(error.excess, reference.excess)
+                np.testing.assert_array_equal(error.deficit, reference.deficit)
+        assert 60 < contained < 160
+
+    @pytest.mark.parametrize("query", [k_max, supports_contained, general_error])
+    def test_indefinite_factor_named(self, query):
+        indefinite = np.diag([1.0, -1.0, 0.0])
+        for operand in (spectrum(indefinite), indefinite):
+            with pytest.raises(NotPositiveSemidefinite, match="^A is not"):
+                query(operand, BLOCK_B)
+            with pytest.raises(NotPositiveSemidefinite, match="^B is not"):
+                query(BLOCK_A, operand)
+
+    def test_bayes_factor_with_unsorted_products(self):
+        rng = np.random.default_rng(1602)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        # Running products 3, 6, 3, 0.3 from the top: not sorted.
+        b = (q * [0.1, 0.5, 2.0, 3.0]) @ q.T
+        a = (q[:, 1:] * [0.4, 1.5, 2.5]) @ q[:, 1:].T
+        fa, fb = normalize(spectrum(a), "bayes"), normalize(spectrum(b), "bayes")
+        assert isinstance(fa, Spectrum) and np.any(np.diff(fb.w) < 0)
+        np.testing.assert_array_equal(fb.matrix, normalize(b, "bayes"))
+        result, reference = k_max(fa, fb), k_max(fa.matrix, fb.matrix)
+        assert result.supports_contained and reference.supports_contained
+        assert result.raw_k == pytest.approx(reference.raw_k, rel=1e-12)
+        assert normalize(fb, "maxeig").w.max() == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("strategy", list(Normalization))
+    def test_normalize_returns_the_kind_it_was_given(self, strategy):
+        m = random_psd(np.random.default_rng(1603), 5)
+        factor = normalize(spectrum(m), strategy)
+        assert isinstance(factor, Spectrum)
+        assert isinstance(normalize(m, strategy), np.ndarray)
+        np.testing.assert_allclose(factor.matrix, normalize(m, strategy), rtol=1e-12, atol=1e-14)
 
 
 class TestGeneralError:

@@ -17,37 +17,42 @@ from helpers import bisect_max_strength, nested_psd_pair, random_density, random
 class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            psd.eig(np.zeros((2, 3)))
+            psd.spectrum(np.zeros((2, 3)))
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
-            psd.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            psd.spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            psd.eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            psd.spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ValueError):
             psd.Tolerances(psd_tol=0.0)
 
 
+def reconstruct(s: psd.Spectrum) -> np.ndarray:
+    r = (s.v * s.w) @ s.v.T
+    return 0.5 * (r + r.T)
+
+
 class TestEig:
     def test_diagonal(self):
-        dec = psd.eig(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(dec.eigenvalues, [2.0, 1.0])
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-14)
+        dec = psd.spectrum(np.diag([2.0, 1.0]))
+        np.testing.assert_allclose(dec.w, [1.0, 2.0])
+        np.testing.assert_allclose(np.abs(dec.v), np.eye(2)[:, ::-1], atol=1e-14)
 
     def test_exchange_matrix(self):
-        dec = psd.eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-15)
+        dec = psd.spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(dec.w, [-1.0, 1.0], atol=1e-15)
 
     def test_reconstruction_seed_7(self):
         rng = np.random.default_rng(7)
         g = rng.normal(size=(6, 6))
         m = 0.5 * (g + g.T)
-        dec = psd.eig(m)
-        residual = np.linalg.norm(dec.reconstruct() - m)
+        dec = psd.spectrum(m)
+        residual = np.linalg.norm(reconstruct(dec) - m)
         assert residual <= 1e-9 * max(1.0, np.linalg.norm(m))
 
     def test_reconstruction_and_orthonormality_sweep(self):
@@ -56,11 +61,11 @@ class TestEig:
             dim = int(rng.integers(1, 17))
             g = rng.normal(size=(dim, dim))
             m = 0.5 * (g + g.T)
-            dec = psd.eig(m)
-            assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-            gram = dec.eigenvectors.T @ dec.eigenvectors
+            dec = psd.spectrum(m)
+            assert np.all(np.diff(dec.w) >= -1e-12)
+            gram = dec.v.T @ dec.v
             assert np.abs(gram - np.eye(dim)).max() <= 1e-9
-            residual = np.linalg.norm(dec.reconstruct() - m)
+            residual = np.linalg.norm(reconstruct(dec) - m)
             assert residual <= 1e-9 * max(1.0, np.linalg.norm(m))
 
 
@@ -227,7 +232,7 @@ class TestProjectionOrderEmbedding:
             rank_q = int(rng.integers(1, dim + 1))
             q = random_projector(rng, dim, rank_q)
             if rng.random() < 0.5:
-                vq = psd.eig(q).eigenvectors[:, :rank_q]
+                vq = psd.spectrum(q).v[:, ::-1][:, :rank_q]
                 rank_p = int(rng.integers(1, rank_q + 1))
                 p = vq[:, :rank_p] @ vq[:, :rank_p].T
             else:
