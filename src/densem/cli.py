@@ -24,31 +24,9 @@ from .entailment import (
     k_max,
     normalize,
 )
-from .errors import (
-    DensemError,
-    DuplicateWordError,
-    LexiconIOError,
-    OutsideDiscError,
-    ResolutionError,
-    SchemaError,
-    StructureMismatch,
-    TypeSyntaxError,
-    UngrammaticalSentence,
-    UnknownWordError,
-    ZeroOperatorError,
-)
+from .errors import DensemError, StructureMismatch, ZeroOperatorError
 from .lexicon import compose_sentence, load_lexicon, word_product_bound
 from .pregroup import parse_type, reduce
-
-_USAGE_ERRORS = (
-    SchemaError,
-    DuplicateWordError,
-    LexiconIOError,
-    UnknownWordError,
-    TypeSyntaxError,
-    OutsideDiscError,
-    ResolutionError,
-)
 
 _NORMALIZE_CHOICE = click.Choice([n.value for n in Normalization])
 
@@ -193,18 +171,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except _USAGE_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except UngrammaticalSentence as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except StructureMismatch as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
     except DensemError as exc:
         click.echo(f"error: {exc}", err=True)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

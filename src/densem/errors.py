@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each error type carries the exit code the command line returns for it:
+1 for a usage or schema error, 2 for an ungrammatical sentence, and 3
+(the default) for a numerical failure.
+"""
 
 
 class DensemError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class DimensionMismatch(DensemError):
@@ -56,9 +63,13 @@ class EmptyProposition(DensemError):
 class OutsideDiscError(DensemError):
     """Coordinates lie outside the closed unit disc."""
 
+    exit_code = 1
+
 
 class ResolutionError(DensemError):
     """Grid resolution is too small."""
+
+    exit_code = 1
 
 
 class TypeSyntaxError(DensemError):
@@ -66,6 +77,8 @@ class TypeSyntaxError(DensemError):
 
     ``position`` is the character offset of the offending input.
     """
+
+    exit_code = 1
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -77,6 +90,8 @@ class SchemaError(DensemError):
 
     ``path`` locates the offending field, e.g. ``words[2].meaning``.
     """
+
+    exit_code = 1
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -90,12 +105,16 @@ class DuplicateWordError(SchemaError):
 class LexiconIOError(DensemError):
     """A lexicon file could not be read."""
 
+    exit_code = 1
+
 
 class UnknownWordError(DensemError):
     """A sentence contains words absent from the lexicon.
 
     ``words`` lists the offending tokens.
     """
+
+    exit_code = 1
 
     def __init__(self, words):
         self.words = tuple(words)
@@ -105,6 +124,10 @@ class UnknownWordError(DensemError):
 class UngrammaticalSentence(DensemError):
     """A sentence does not reduce to the requested target type."""
 
+    exit_code = 2
+
 
 class StructureMismatch(DensemError):
     """Two sentences do not share the same grammatical structure."""
+
+    exit_code = 1

@@ -115,75 +115,48 @@ def reduce(
 ) -> Optional[ReductionPattern]:
     """Find a reduction of ``sequence`` to ``target``, or ``None``.
 
-    The search is a memoized interval decomposition: a segment reduces to
-    nothing when its first simple contracts with a partner and both the
-    enclosed and remaining segments reduce; otherwise the first simple must
-    survive as the next target symbol.  Candidate partners are tried
-    nearest-first and contraction is preferred over survival, which makes
-    the returned pattern the leftmost-innermost one and the search
-    deterministic.
+    The search is a memoized interval decomposition.  ``derive(i, j, t)``
+    reduces the segment ``flat[i:j]`` to ``tgt[t:]``; an enclosed segment
+    must reduce to nothing, so it passes ``t = len(tgt)``.  The first
+    simple of a segment either contracts with a partner, when the enclosed
+    and the remaining segments both reduce, or survives as the next target
+    symbol.  Candidate partners are tried nearest-first and contraction is
+    preferred over survival, which makes the returned pattern the
+    leftmost-innermost one and the search deterministic.
     """
     if not sequence:
         raise ValueError("sequence of types must be nonempty")
     flat = flatten(sequence)
     tgt = target.simples
     n = len(flat)
+    end = len(tgt)
+    memo: dict[tuple[int, int, int], Optional[tuple]] = {}
 
-    null_memo: dict[tuple[int, int], Optional[tuple]] = {}
-
-    def nullable(i: int, j: int) -> Optional[tuple]:
-        key = (i, j)
-        if key in null_memo:
-            return null_memo[key]
+    def derive(i: int, j: int, t: int) -> Optional[tuple]:
+        key = (i, j, t)
+        if key in memo:
+            return memo[key]
+        result: Optional[tuple] = None
         if i == j:
-            result: Optional[tuple] = ()
-        elif (j - i) % 2:
-            result = None
+            result = () if t == end else None
         else:
-            result = None
             for m in range(i + 1, j, 2):
                 if not _contractible(flat[i], flat[m]):
                     continue
-                inner = nullable(i + 1, m)
+                inner = derive(i + 1, m, end)
                 if inner is None:
                     continue
-                rest = nullable(m + 1, j)
+                rest = derive(m + 1, j, t)
                 if rest is None:
                     continue
                 result = ((i, m),) + inner + rest
                 break
-        null_memo[key] = result
+            if result is None and t < end and flat[i] == tgt[t]:
+                result = derive(i + 1, j, t + 1)
+        memo[key] = result
         return result
 
-    search_memo: dict[tuple[int, int], Optional[tuple]] = {}
-
-    def search(i: int, t: int) -> Optional[tuple]:
-        key = (i, t)
-        if key in search_memo:
-            return search_memo[key]
-        if i == n:
-            result: Optional[tuple] = () if t == len(tgt) else None
-        else:
-            result = None
-            for m in range(i + 1, n, 2):
-                if not _contractible(flat[i], flat[m]):
-                    continue
-                inner = nullable(i + 1, m)
-                if inner is None:
-                    continue
-                rest = search(m + 1, t)
-                if rest is None:
-                    continue
-                result = ((i, m),) + inner + rest
-                break
-            if result is None and t < len(tgt) and flat[i] == tgt[t]:
-                rest = search(i + 1, t + 1)
-                if rest is not None:
-                    result = rest
-        search_memo[key] = result
-        return result
-
-    pairs = search(0, 0)
+    pairs = derive(0, n, 0)
     if pairs is None:
         return None
     matched = {index for pair in pairs for index in pair}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import prod
 from typing import Mapping, Optional, Sequence
 
@@ -32,7 +33,7 @@ from .pregroup import PregroupType, ReductionPattern
 
 MAX_TENSOR_ENTRIES = 2**20
 # Cap on a contraction plan's cost (see evaluate): about a second of
-# einsum work, far above any sentence whose word tensors fit
+# contraction work, far above any sentence whose word tensors fit
 # MAX_TENSOR_ENTRIES.
 MAX_CONTRACTION_FLOPS = 2**30
 
@@ -66,7 +67,8 @@ def flat_dim(spaces: Sequence[int]) -> int:
     return dim
 
 
-@dataclass(frozen=True)
+# Compared by identity: a field-wise == would compare arrays and raise.
+@dataclass(frozen=True, eq=False)
 class DensityTensor:
     """A PSD tensor over ``spaces``, stored as (kets..., bras...).
 
@@ -78,7 +80,7 @@ class DensityTensor:
 
     spaces: tuple[int, ...]
     entries: np.ndarray
-    spectrum: psd.Spectrum = field(init=False, repr=False, compare=False)
+    spectrum: psd.Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
         spaces = tuple(int(d) for d in self.spaces)
@@ -174,17 +176,13 @@ def evaluate(
     each other and the bra indices likewise; the result ranges over the
     survivor positions in pattern order.
 
-    The contraction runs as a sequence of pairwise steps planned by
-    ``np.einsum_path`` (greedy).  The plan depends only on the pattern and
-    the dimensions of each word's positions, so it is made once per such
-    structure and cached, with every step stored ready to run: the
-    positions of its operands and its ``np.tensordot`` axes, or, for a step
-    that ``tensordot`` cannot express, its ``np.einsum`` subscripts.  A
-    call runs the stored steps and one final transpose to the output
-    labels; nothing is parsed or planned again.  The plan's cost, the sum
-    over the steps of the product of the dimensions each step touches, must
-    not exceed ``MAX_CONTRACTION_FLOPS``: a costlier plan raises
-    ``TensorTooLarge`` before any contraction runs.
+    The plan (see ``_plan``) depends only on the pattern and the dimensions
+    of each word's positions, so it is made once per such structure and
+    cached.  A call runs the plan's stored steps: ``np.trace`` over each
+    pair of axes a word contracts within itself, then ``np.tensordot``
+    steps that join two operands at a time, then one transpose to the
+    output order.  A plan that costs more than ``MAX_CONTRACTION_FLOPS``
+    raises ``TensorTooLarge`` before any contraction runs.
     """
     dims: list[int] = []
     counts = []
@@ -197,40 +195,39 @@ def evaluate(
             )
         dims.extend(type_dims)
         counts.append(len(type_dims))
-    steps, out_axes = _plan(pattern, tuple(dims), tuple(counts))
+    traces, steps, out_axes = _plan(pattern, tuple(dims), tuple(counts))
     operands = [tensor.entries for tensor, _ in words]
-    for positions, axes, subscripts in steps:
+    for word, axis1, axis2 in traces:
+        operands[word] = np.trace(operands[word], axis1=axis1, axis2=axis2)
+    for positions, axes in steps:
         args = [operands.pop(k) for k in positions]
-        if subscripts is None:
-            operands.append(np.tensordot(*args, axes))
-        else:
-            operands.append(np.einsum(subscripts, *args))
+        operands.append(np.tensordot(*args, axes))
     entries = operands[0].transpose(out_axes)
     return DensityTensor(tuple(dims[p] for p in pattern.survivors), entries)
 
 
-# numpy's einsum names integer labels by these letters, in this order.
-# Spelled out: importing the string module would cost each process ~1.5 ms.
-_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 @lru_cache(maxsize=256)
 def _plan(pattern: ReductionPattern, dims: tuple[int, ...], counts: tuple[int, ...]):
-    """Check a contraction structure and plan it once.
+    """Check a contraction structure and plan it once, greedily.
 
     ``dims`` gives the dimension of every position and ``counts`` the
     number of positions of each word, in order.  Position ``p`` carries
     ket label ``p`` and bra label ``n + p``; a match relabels its right
-    position with its left one, so a label ``l`` has dimension
-    ``dims[l % n]``.
+    position with its left one, so a label names one survivor or two
+    matched positions, and has dimension ``dims[label % n]``.
 
-    Returns the steps of the greedy path and the axis order that takes
-    the last result to the output labels.  A step is ``(positions, axes,
-    subscripts)``: it pops the operands at ``positions`` in that order and
-    appends its result.  It runs ``np.tensordot`` over ``axes`` when it
-    joins two operands that repeat no label, and otherwise ``np.einsum``
-    over ``subscripts``.  Each step pops, sums and orders its operands as
-    ``np.einsum(..., optimize=path)`` would, so the results are the same.
+    Returns ``(traces, steps, out_axes)``.  A trace ``(word, axis1, axis2)``
+    sums a label that repeats within one word's own labels; traces run
+    first, in order.  A step ``(positions, axes)`` pops the operands at
+    ``positions`` (the higher first) and appends their ``np.tensordot``
+    over ``axes``, which sums every label the two share.  Each step joins
+    the pair that shrinks the total size most, then the one that touches
+    the smallest product of dimensions, then the one whose positions,
+    higher first, sort first; it looks only at pairs that share a label,
+    found through the labels' owners, unless no pair does.  ``out_axes``
+    takes the last result to the survivors' kets and then their bras.  The
+    plan's cost, the sum over all traces and steps of the product of the
+    dimensions each touches, must not exceed ``MAX_CONTRACTION_FLOPS``.
     """
     n = len(dims)
     matched: set[int] = set()
@@ -252,63 +249,58 @@ def _plan(pattern: ReductionPattern, dims: tuple[int, ...], counts: tuple[int, .
     for i, j in pattern.matches:
         ket[j] = ket[i]
         bra[j] = bra[i]
-    labels = []
-    start = 0
-    for count in counts:
-        positions = range(start, start + count)
-        labels.append(tuple(ket[p] for p in positions) + tuple(bra[p] for p in positions))
-        start += count
-    out_labels = tuple(ket[p] for p in pattern.survivors) + tuple(
-        bra[p] for p in pattern.survivors
-    )
 
-    # einsum_path reads only shapes, so zero-stride stand-ins allocate nothing.
-    stand_ins: list = []
-    for word_labels in labels:
-        shape = tuple(dims[label % n] for label in word_labels)
-        stand_ins.extend((np.broadcast_to(0.0, shape), word_labels))
-    path = np.einsum_path(*stand_ins, out_labels, optimize="greedy")[0][1:]
+    def size(labels) -> int:
+        return prod(dims[label % n] for label in labels)
 
-    # Each live operand's labels as einsum orders them (``order``) and as
-    # its array holds them (``held``); they differ after a tensordot.
-    order = list(labels)
-    held = list(labels)
-    steps = []
+    # Each live operand's labels, in the order its array holds them.
+    held: list[tuple[int, ...]] = []
+    traces = []
     cost = 0
-    for number, step in enumerate(path):
-        positions = tuple(sorted(step, reverse=True))
-        terms = [order.pop(k) for k in positions]
-        args = [held.pop(k) for k in positions]
-        touched = set().union(*terms)
-        cost += prod(dims[label % n] for label in touched)
-        kept = set(out_labels).union(*order)
-        if number == len(path) - 1:
-            result = out_labels
-        else:
-            # einsum orders an intermediate by dimension, then by letter.
-            result = tuple(
-                sorted(
-                    (l for l in touched if l in kept),
-                    key=lambda l: (dims[l % n], _SYMBOLS[l]),
-                )
-            )
-        if len(args) == 2 and not any(len(set(t)) < len(t) for t in terms):
-            # Summed in the order the left operand's einsum term lists them.
-            summed = [l for l in terms[0] if l in terms[1]]
-            axes = tuple(tuple(arg.index(l) for l in summed) for arg in args)
-            steps.append((positions, axes, None))
-            held.append(tuple(l for arg in args for l in arg if l not in summed))
-        else:
-            inputs = ",".join("".join(_SYMBOLS[l] for l in arg) for arg in args)
-            subscripts = inputs + "->" + "".join(_SYMBOLS[l] for l in result)
-            steps.append((positions, None, subscripts))
-            held.append(result)
-        order.append(result)
+    start = 0
+    for word, count in enumerate(counts):
+        positions = range(start, start + count)
+        labels = [ket[p] for p in positions] + [bra[p] for p in positions]
+        start += count
+        for label in dict.fromkeys(labels):
+            if labels.count(label) == 2:
+                cost += size(set(labels))
+                axis1 = labels.index(label)
+                axis2 = labels.index(label, axis1 + 1)
+                traces.append((word, axis1, axis2))
+                del labels[axis2], labels[axis1]
+        held.append(tuple(labels))
+
+    def rank(pair):
+        left, right = (set(held[k]) for k in pair)
+        shrink = size(left) + size(right) - size(left ^ right)
+        return (-shrink, size(left | right), pair[::-1])
+
+    steps = []
+    while len(held) > 1:
+        owners: dict[int, list[int]] = {}
+        for k, labels in enumerate(held):
+            for label in labels:
+                owners.setdefault(label, []).append(k)
+        pairs = {tuple(ks) for ks in owners.values() if len(ks) == 2}
+        if not pairs:
+            pairs = combinations(range(len(held)), 2)
+        i, j = min(pairs, key=rank)
+        cost += size(set(held[i]) | set(held[j]))
+        left, right = held.pop(j), held.pop(i)
+        summed = [label for label in left if label in right]
+        axes = (
+            tuple(left.index(label) for label in summed),
+            tuple(right.index(label) for label in summed),
+        )
+        steps.append(((j, i), axes))
+        held.append(tuple(label for label in left + right if label not in summed))
     if cost > MAX_CONTRACTION_FLOPS:
         raise TensorTooLarge(
             f"contraction plan costs {cost} flops, over the cap of {MAX_CONTRACTION_FLOPS}"
         )
-    return tuple(steps), tuple(held[0].index(l) for l in out_labels)
+    out_labels = [ket[p] for p in pattern.survivors] + [bra[p] for p in pattern.survivors]
+    return tuple(traces), tuple(steps), tuple(held[0].index(label) for label in out_labels)
 
 
 def snake_check(dim: int) -> bool:

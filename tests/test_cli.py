@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import densem
+import densem.cli
+import densem.errors
 from densem.cli import main
 from densem.errors import StructureMismatch
 from helpers import FIXTURES
@@ -173,6 +175,27 @@ class TestCompose:
         )
         assert code == 1
         assert "frobenius evaluation supports" in err
+
+    def test_thirteen_adjectives_compose(self, capsys, tmp_path):
+        # 27 simple types: one more position than einsum has letter pairs.
+        path = tmp_path / "lexicon.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "spaces": {"n": 2},
+                    "words": [
+                        {"word": "big", "type": "n n.l",
+                         "meaning": {"pure_mixture": [{"weight": 1.0, "vector": [1, 0, 0, 1]}]}},
+                        {"word": "dog", "type": "n",
+                         "meaning": {"pure_mixture": [{"weight": 1.0, "vector": [1, 1]}]}},
+                    ],
+                }
+            )
+        )
+        sentence = " ".join(["big"] * 13 + ["dog"])
+        code, out, err = run(capsys, "compose", "--lexicon", str(path), "--target", "n", sentence)
+        assert (code, err) == (0, "")
+        assert "matrix 2x2:" in out
 
     def test_ungrammatical_exits_two(self, capsys):
         code, _, err = run(capsys, "compose", "--lexicon", KICKS, "cats John kicks")
@@ -376,6 +399,60 @@ class TestDisc:
         assert err.startswith("error: resolution 100000")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+def _error_types(base=densem.errors.DensemError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+# The exit code main returns for each error type.
+EXIT_CODES = {
+    "DensemError": 3,
+    "DimensionMismatch": 3,
+    "NonFiniteInput": 3,
+    "NotSymmetric": 3,
+    "ConvergenceError": 3,
+    "NotPositiveSemidefinite": 3,
+    "NotDensityOperator": 3,
+    "ZeroOperatorError": 3,
+    "WeightError": 3,
+    "StrengthRangeError": 3,
+    "PatternMismatch": 3,
+    "TensorTooLarge": 3,
+    "EmptyProposition": 3,
+    "OutsideDiscError": 1,
+    "ResolutionError": 1,
+    "TypeSyntaxError": 1,
+    "SchemaError": 1,
+    "DuplicateWordError": 1,
+    "LexiconIOError": 1,
+    "UnknownWordError": 1,
+    "UngrammaticalSentence": 2,
+    "StructureMismatch": 1,
+}
+
+
+class TestExitCodes:
+    def test_every_error_type_is_pinned(self):
+        found = {cls.__name__ for cls in _error_types()} | {"DensemError"}
+        assert found == set(EXIT_CODES)
+
+    @pytest.mark.parametrize(
+        "error", [densem.errors.DensemError, *_error_types()], ids=lambda cls: cls.__name__
+    )
+    def test_main_returns_the_error_code(self, capsys, monkeypatch, error):
+        exc = error.__new__(error)
+        Exception.__init__(exc, "boom")
+
+        def fail(path):
+            raise exc
+
+        monkeypatch.setattr(densem.cli, "load_lexicon", fail)
+        code, out, err = run(capsys, "parse", "--lexicon", KICKS, "John kicks cats")
+        assert code == EXIT_CODES[error.__name__] == error.exit_code
+        assert (out, err) == ("", "error: boom\n")
 
 
 class TestUsage:

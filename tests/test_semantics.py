@@ -73,6 +73,14 @@ class TestDensityTensor:
         with pytest.raises(NonFiniteInput):
             DensityTensor((2, 2), entries)
 
+    def test_compares_by_identity(self):
+        first = double([1.0, 2.0], (2,))
+        second = double([1.0, 2.0], (2,))
+        assert np.array_equal(first.entries, second.entries)
+        assert first != second
+        assert first == first
+        assert len({first, second, first}) == 2
+
     def test_stores_ket_bra_average(self):
         entries = np.eye(4).reshape(2, 2, 2, 2)
         entries[0, 1, 1, 0] = 1e-13
@@ -286,22 +294,14 @@ class TestPlannedContraction:
         assert result.shape == expected.shape
         assert np.abs(result - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_plans_once_per_structure(self, monkeypatch):
-        calls = []
-        planner = np.einsum_path
-
-        def counting_planner(*args, **kwargs):
-            calls.append(args)
-            return planner(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum_path", counting_planner)
+    def test_plans_once_per_structure(self):
         semantics._plan.cache_clear()
         rng = np.random.default_rng(5)
         for _ in range(2):
             evaluate(*random_sentence(rng, "ANVN", 2, 3))
-        assert len(calls) == 1
+        assert semantics._plan.cache_info().misses == 1
         evaluate(*random_sentence(rng, "ANVN", 3, 3))
-        assert len(calls) == 2
+        assert semantics._plan.cache_info().misses == 2
 
     @pytest.mark.parametrize("kinds, target", [("X", "s"), ("NX", "n s"), ("XX", "s s")])
     @pytest.mark.parametrize("n, s", [(1, 2), (2, 3), (3, 1), (3, 2)])
@@ -317,25 +317,54 @@ class TestPlannedContraction:
         assert result.shape == expected.shape
         assert np.abs(result - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_cached_structure_runs_without_the_planner(self, monkeypatch):
-        calls = []
-        # np.einsum(..., optimize=...) reaches the planner through the
-        # globals of numpy's einsum module, not through the np attribute.
-        einsum_globals = np.einsum_path.__wrapped__.__globals__
-        planner = np.einsum_path
-
-        def counting_planner(*args, **kwargs):
-            calls.append(args)
-            return planner(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum_path", counting_planner)
-        monkeypatch.setitem(einsum_globals, "einsum_path", counting_planner)
+    def test_cached_structure_runs_without_the_planner(self):
         semantics._plan.cache_clear()
         sentence = random_sentence(np.random.default_rng(7), "AANVAN", 2, 3)
         evaluate(*sentence)
-        assert len(calls) == 1
+        info = semantics._plan.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
         evaluate(*sentence)
-        assert len(calls) == 1
+        info = semantics._plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_plans_and_runs_without_einsum(self, monkeypatch):
+        structures = [
+            (kinds, None) for kinds in ["N", "AN", "AAN", "NVN", "ANVN", "NVAN", "ANVAN", "AANVAN"]
+        ] + [("X", "s"), ("NX", "n s"), ("XX", "s s")]
+        rng = np.random.default_rng(13)
+        sentences = [random_sentence(rng, kinds, 2, 3, target) for kinds, target in structures]
+        expected = [naive_contraction(words, pattern) for words, pattern, _ in sentences]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(np, "einsum_path", refuse)
+        semantics._plan.cache_clear()
+        for sentence, want in zip(sentences, expected):
+            result = evaluate(*sentence).entries
+            assert np.abs(result - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("length", [30, 200])
+    def test_adjective_chain_matches_superoperators(self, length):
+        # 2 * length + 1 simple types: far past the 52 letters einsum can name.
+        rng = np.random.default_rng(length)
+        adjectives = [
+            DensityTensor.from_matrix(random_psd(rng, 4), (2, 2)) for _ in range(length)
+        ]
+        noun = DensityTensor.from_matrix(random_psd(rng, 2), (2,))
+        types = [parse_type("n n.l")] * length + [parse_type("n")]
+        words = list(zip(adjectives + [noun], types))
+        semantics._plan.cache_clear()
+        start = time.perf_counter()
+        pattern = reduce(types, parse_type("n"))
+        result = evaluate(words, pattern, {"n": 2}).entries
+        elapsed = time.perf_counter() - start
+        expected = noun.entries
+        for adjective in reversed(adjectives):
+            expected = np.einsum("abcd,bd->ac", adjective.entries, expected)
+        assert np.abs(result - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
     def test_six_word_sentence_is_fast(self):
         words, pattern, spaces = random_sentence(np.random.default_rng(11), "AANVAN", 6, 6)
