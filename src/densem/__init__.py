@@ -41,7 +41,6 @@ from .pregroup import (
 )
 from .psd import (
     Spectrum,
-    Tolerances,
     is_psd,
     loewner_leq,
     pseudo_inverse,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "Spectrum",
-    "Tolerances",
     "is_psd",
     "loewner_leq",
     "pseudo_inverse",

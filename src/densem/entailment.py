@@ -8,7 +8,7 @@ matrix, validated and factorised by one symmetric eigensolve, or its
 :class:`~densem.psd.Spectrum`, which is not solved again.  ``B`` is factorised
 first, into its support eigenpairs ``U, L`` (after the rank cut).  The
 supports are contained when ``||A - U U^T A||`` is at most
-``compare_tol * ||A||``, a test that needs no factorisation of ``A``; so
+``COMPARE_RTOL * ||A||``, a test that needs no factorisation of ``A``; so
 ``A``'s eigensolve, which also runs its PSD rule, asks for eigenvectors
 ``V`` beside the eigenvalues ``M`` only when the supports are contained.
 The top eigenvalue is then that of the ``r x r`` matrix ``X X^T`` with
@@ -44,10 +44,9 @@ from .errors import (
     ZeroOperatorError,
 )
 from .psd import (
-    DEFAULT_TOL,
+    COMPARE_RTOL,
     DENSITY_TRACE_ATOL,
     Spectrum,
-    Tolerances,
     _eigensolve,
     _psd_eigh,
     _psd_spectrum,
@@ -58,7 +57,6 @@ from .psd import (
     is_psd,
 )
 
-ZERO_NORM_ATOL = 1e-12
 # Cap on a disc lattice's points (resolution 1024), checked before any
 # array is built.  A grid peaks at about 200 bytes per point inside the
 # disc, so some 166 MB at the cap.
@@ -121,7 +119,7 @@ class ErrorDecomposition:
     deficit: np.ndarray
 
 
-def _pair(a, b, tol: Tolerances, vectors: bool):
+def _pair(a, b, vectors: bool):
     """Validate both operands, in the order every query runs the checks.
 
     Runs ``a``'s shape, finiteness and symmetry rules, ``b``'s eigensolve
@@ -130,23 +128,23 @@ def _pair(a, b, tol: Tolerances, vectors: bool):
     through the PSD rule, its matrix, and ``b``'s factor.
     """
     a = _symmetric(a)
-    B = _psd_eigh(b, tol, name="B", vectors=vectors)
+    B = _psd_eigh(b, name="B", vectors=vectors)
     A = a.matrix if isinstance(a, Spectrum) else a
     if A.shape != B.matrix.shape:
         raise DimensionMismatch(f"shape {A.shape} vs {B.matrix.shape}")
     return a, A, B
 
 
-def _containment(a, b, tol: Tolerances, vectors: bool):
+def _containment(a, b, vectors: bool):
     """Validate both operands and decide whether ``A``'s support lies in ``B``'s.
 
     ``A`` gets eigenvectors only when ``vectors`` is asked for and it is
     contained.  Returns ``A``'s factor, ``B``'s support ``(L, U)`` and the decision.
     """
-    a, A, B = _pair(a, b, tol, vectors=True)
-    support = _support(B, tol)
-    contained = bool(_contained(A, support[1], tol))
-    return _psd_spectrum(a, tol, "A", vectors and contained), support, contained
+    a, A, B = _pair(a, b, vectors=True)
+    support = _support(B)
+    contained = bool(_contained(A, support[1]))
+    return _psd_spectrum(a, "A", vectors and contained), support, contained
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -154,14 +152,14 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", m, m))
 
 
-def _contained(A: np.ndarray, u: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _contained(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Whether each support of ``A``, a stack ``(..., n, n)``, lies in ``span(u)``.
 
     ``u`` holds ``B``'s support eigenvectors; ``A`` is contained when
-    ``||A - U U^T A||`` is at most ``compare_tol * ||A||``.
+    ``||A - U U^T A||`` is at most ``COMPARE_RTOL * ||A||``.
     """
     residual = _frobenius(A - u @ (u.T @ A))
-    return residual <= tol.compare_tol * _frobenius(A)
+    return residual <= COMPARE_RTOL * _frobenius(A)
 
 
 def _top_eigenvalue(a: Spectrum, support) -> np.ndarray:
@@ -178,23 +176,23 @@ def _top_eigenvalue(a: Spectrum, support) -> np.ndarray:
     return w.max(axis=-1, initial=0.0)
 
 
-def supports_contained(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
+def supports_contained(a, b) -> bool:
     """True when the support of ``a`` lies inside the support of ``b``."""
-    _, _, contained = _containment(a, b, tol, vectors=False)
+    _, _, contained = _containment(a, b, vectors=False)
     return contained
 
 
-def is_k_hyponym(a, b, k: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_k_hyponym(a, b, k: float) -> bool:
     """True when ``b - k*a`` is positive semidefinite, for k in (0, 1]."""
     strength = float(k)
     if not 0.0 < strength <= 1.0:
         raise StrengthRangeError(f"strength {strength!r} is outside (0, 1]")
-    a, A, B = _pair(a, b, tol, vectors=False)
-    _psd_spectrum(a, tol, "A", vectors=False)
-    return is_psd(B.matrix - strength * A, tol)
+    a, A, B = _pair(a, b, vectors=False)
+    _psd_spectrum(a, "A", vectors=False)
+    return is_psd(B.matrix - strength * A)
 
 
-def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
+def k_max(a, b) -> EntailmentResult:
     """Maximal entailment strength of ``a`` into ``b``.
 
     Raises :class:`ZeroOperatorError` when ``a`` vanishes; returns a
@@ -203,15 +201,14 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
     The checks and solves run in this order: ``a``'s shape, finiteness and
     symmetry; ``b``'s eigensolve and PSD rule; the shapes against each
     other; the containment residual; ``a``'s eigensolve and PSD rule, with
-    eigenvectors only when contained; the zero-operator check; and, only
-    when contained, the ``r x r`` strength solve.  So a pair of matrices
+    eigenvectors only when contained; and, only when contained, the
+    ``r x r`` strength solve, whose top eigenvalue is 0 exactly when ``a``
+    is the zero operator (which is always contained).  So a pair of matrices
     that is not contained costs one ``eigh`` and one ``eigvalsh``, a
     contained pair two ``eigh`` and one ``eigvalsh``, and two factors with
     eigenvectors at most the ``r x r`` solve.
     """
-    A, support, contained = _containment(a, b, tol, vectors=True)
-    if float(np.linalg.norm(A.matrix)) <= ZERO_NORM_ATOL:
-        raise ZeroOperatorError("entailment strength is undefined for the zero operator")
+    A, support, contained = _containment(a, b, vectors=True)
     if not contained:
         return EntailmentResult(False, None, None, None)
     top = float(_top_eigenvalue(A, support))
@@ -221,10 +218,10 @@ def k_max(a, b, tol: Tolerances = DEFAULT_TOL) -> EntailmentResult:
     return EntailmentResult(True, min(1.0, raw), raw, top)
 
 
-def general_error(a, b, tol: Tolerances = DEFAULT_TOL) -> ErrorDecomposition:
+def general_error(a, b) -> ErrorDecomposition:
     """Split ``A - B`` spectrally into PSD excess and deficit terms."""
-    a, A, B = _pair(a, b, tol, vectors=False)
-    _psd_spectrum(a, tol, "A", vectors=False)
+    a, A, B = _pair(a, b, vectors=False)
+    _psd_spectrum(a, "A", vectors=False)
     w, v = _eigensolve(A - B.matrix)
     # Each part from its own sign's eigenpairs only: the others add zeros.
     positive, negative = w > 0.0, w < 0.0
@@ -268,20 +265,20 @@ def set_entailment(
     return entails, error_size
 
 
-def normalize(matrix, strategy, tol: Tolerances = DEFAULT_TOL):
+def normalize(matrix, strategy):
     """Rescale or transform a PSD matrix or factor; returns the kind it was given."""
     strategy = Normalization.coerce(strategy)
-    s = _normalize(_psd_eigh(matrix, tol, vectors=strategy is Normalization.BAYESIAN), strategy)
+    s = _normalize(_psd_eigh(matrix, vectors=strategy is Normalization.BAYESIAN), strategy)
     return s if isinstance(matrix, Spectrum) else s.matrix
 
 
-def bayes_transform(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def bayes_transform(matrix) -> np.ndarray:
     """Replace the sorted spectrum by its running products, same basis.
 
     With eigenvalues ``d_0 >= d_1 >= ...`` the output eigenvalues are
     ``d_0, d_0*d_1, d_0*d_1*d_2, ...`` on the unchanged eigenvectors.
     """
-    return _normalize(_psd_eigh(matrix, tol), Normalization.BAYESIAN).matrix
+    return _normalize(_psd_eigh(matrix), Normalization.BAYESIAN).matrix
 
 
 def _normalize(s: Spectrum, strategy: Normalization) -> Spectrum:
@@ -297,11 +294,11 @@ def _normalize(s: Spectrum, strategy: Normalization) -> Spectrum:
         return Spectrum(_sym((v * products[..., None, :]) @ v.swapaxes(-1, -2)), products, v)
     if strategy is Normalization.TRACE_ONE:
         divisor = s.matrix.trace(axis1=-2, axis2=-1)
-        if np.count_nonzero(divisor <= ZERO_NORM_ATOL):
+        if np.count_nonzero(divisor <= 0.0):
             raise ZeroOperatorError("cannot trace-normalize the zero operator")
     else:
         divisor = s.w.max(axis=-1)
-        if np.count_nonzero(divisor <= ZERO_NORM_ATOL):
+        if np.count_nonzero(divisor <= 0.0):
             raise ZeroOperatorError("cannot eigenvalue-normalize the zero operator")
     return Spectrum(s.matrix / divisor[..., None, None], s.w / divisor[..., None], s.v)
 
@@ -322,13 +319,13 @@ def _bloch_states(x, z) -> np.ndarray:
     return 0.5 * (np.eye(2) + x * _PAULI_X + z * _PAULI_Z)
 
 
-def _qubit_density(matrix, tol: Tolerances) -> Spectrum:
+def _qubit_density(matrix) -> Spectrum:
     """Validate a 2x2 trace-1 PSD matrix and factorise it with one eigensolve."""
     shape = np.shape(matrix)
     if shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got shape {shape}")
     try:
-        s = _psd_eigh(matrix, tol)
+        s = _psd_eigh(matrix)
     except NotPositiveSemidefinite as exc:
         raise NotDensityOperator(str(exc)) from exc
     trace = float(np.trace(s.matrix))
@@ -339,16 +336,11 @@ def _qubit_density(matrix, tol: Tolerances) -> Spectrum:
 
 def to_bloch(matrix) -> tuple[float, float]:
     """Disc coordinates of a 2x2 trace-1 PSD matrix; inverts from_bloch."""
-    m = _qubit_density(matrix, DEFAULT_TOL).matrix
+    m = _qubit_density(matrix).matrix
     return float(2.0 * m[0, 1]), float(m[0, 0] - m[1, 1])
 
 
-def disc_grid(
-    target,
-    resolution: int,
-    strategy,
-    tol: Tolerances = DEFAULT_TOL,
-) -> list[tuple[float, float, float]]:
+def disc_grid(target, resolution: int, strategy) -> list[tuple[float, float, float]]:
     """Entailment strength into ``target`` over a lattice of disc states.
 
     Rows are ``(x, z, k)`` for every lattice point of an evenly spaced
@@ -377,7 +369,7 @@ def disc_grid(
             f"over the cap of {MAX_DISC_POINTS}"
         )
     strategy = Normalization.coerce(strategy)
-    b = _normalize(_qubit_density(target, tol), strategy)
+    b = _normalize(_qubit_density(target), strategy)
     axis = np.linspace(-1.0, 1.0, resolution)
     x = np.tile(axis, resolution)
     z = np.repeat(axis[::-1], resolution)
@@ -386,10 +378,10 @@ def disc_grid(
     if not x.size:
         return []
     states = _symmetrized(_bloch_states(x, z))
-    a = _normalize(_psd_spectrum(states, tol, name="disc state"), strategy)
+    a = _normalize(_psd_spectrum(states, name="disc state"), strategy)
     del states
-    support = _support(b, tol)
-    contained = _contained(a.matrix, support[1], tol)
+    support = _support(b)
+    contained = _contained(a.matrix, support[1])
     k = np.zeros(x.shape)
     if np.count_nonzero(contained):
         top = _top_eigenvalue(a, support)

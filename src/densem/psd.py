@@ -4,9 +4,8 @@ Inputs are validated (square, finite, symmetric within a relative tolerance
 of 1e-12) and every matrix product is re-symmetrized by averaging with its
 transpose to suppress round-off drift.  A validated matrix and its
 eigendecomposition travel together as one :class:`Spectrum`.  The PSD rule
-and the rank cut read its eigenvalues under the caller's relative
-:class:`Tolerances`, with no eigensolve, so a factor gives the decision its
-matrix gives under any tolerances.
+and the rank cut read its eigenvalues against the relative thresholds
+``PSD_RTOL`` and ``RANK_RTOL``, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -26,35 +25,15 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-12
+# A matrix is PSD when its minimum eigenvalue is at least
+# -PSD_RTOL * max(1, lambda_max).
+PSD_RTOL = 1e-9
+# Eigenvalues at or below RANK_RTOL * lambda_max are zero: the rank cut.
+RANK_RTOL = 1e-10
+# A's support lies in B's when the residual of A off B's support is at most
+# COMPARE_RTOL * ||A|| (entailment._contained).
+COMPARE_RTOL = 1e-8
 DENSITY_TRACE_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative tolerances for PSD checks, rank decisions and comparisons.
-
-    psd_tol
-        A matrix counts as PSD when its minimum eigenvalue is at least
-        ``-psd_tol * max(1, lambda_max)``.
-    rank_tol
-        Eigenvalues at or below ``rank_tol * lambda_max`` are treated as
-        zero when inverting or building support projectors.
-    compare_tol
-        Relative tolerance for residual-based comparisons such as support
-        containment.
-    """
-
-    psd_tol: float = 1e-9
-    rank_tol: float = 1e-10
-    compare_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("psd_tol", "rank_tol", "compare_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
 
 
 # Compared by identity: a field-wise == would compare arrays and raise.
@@ -95,7 +74,7 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
         raise NonFiniteInput("matrix contains NaN or Inf entries")
     # Entries flattened per matrix: one reduction axis is cheaper than two.
     flat = m.shape[:-2] + (-1,)
-    scale = np.abs(m).reshape(flat).max(axis=-1, initial=1.0)
+    scale = np.abs(m).reshape(flat).max(axis=-1)
     asymmetry = np.abs(m - m.swapaxes(-1, -2)).reshape(flat).max(axis=-1)
     if np.count_nonzero(asymmetry > SYMMETRY_RTOL * scale):
         raise NotSymmetric("matrix is not symmetric within tolerance")
@@ -135,24 +114,24 @@ def spectrum(matrix) -> Spectrum:
     return _solved(_symmetric(matrix), vectors=True)
 
 
-def _psd_eigh(matrix, tol: Tolerances, name: str = "matrix", vectors: bool = True) -> Spectrum:
+def _psd_eigh(matrix, name: str = "matrix", vectors: bool = True) -> Spectrum:
     """Validate a symmetric PSD matrix, or a factor, with at most one eigensolve."""
-    return _psd_spectrum(_symmetric(matrix), tol, name, vectors)
+    return _psd_spectrum(_symmetric(matrix), name, vectors)
 
 
-def _psd_spectrum(m, tol: Tolerances, name: str, vectors: bool = True) -> Spectrum:
+def _psd_spectrum(m, name: str, vectors: bool = True) -> Spectrum:
     """The PSD rule on a symmetric ``(..., n, n)`` stack or on its factor.
 
-    Each minimum eigenvalue must be at least ``-psd_tol * max(1,
+    Each minimum eigenvalue must be at least ``-PSD_RTOL * max(1,
     lambda_max)`` of its own matrix.  Solves only what ``_solved`` must.
     """
     s = _solved(m, vectors)
     # Each matrix's lowest and top eigenvalue; for one matrix, numpy scalars.
     # A bayes factor is unsorted but nonnegative, so it passes either way.
     low, top = s.w.T[0], s.w.T[-1]
-    # low < -psd_tol * max(1, top) as two comparisons, which on scalars
+    # low < -PSD_RTOL * max(1, top) as two comparisons, which on scalars
     # cost less than one np.maximum.
-    bad = (low < -tol.psd_tol) & (low < -tol.psd_tol * top)
+    bad = (low < -PSD_RTOL) & (low < -PSD_RTOL * top)
     if np.count_nonzero(bad):
         raise NotPositiveSemidefinite(
             f"{name} is not positive semidefinite (min eigenvalue {low[bad].min():.3e})"
@@ -160,53 +139,53 @@ def _psd_spectrum(m, tol: Tolerances, name: str, vectors: bool = True) -> Spectr
     return s
 
 
-def _support(s: Spectrum, tol: Tolerances):
-    """The rank cut: the eigenpairs ``(w, v)`` above ``rank_tol * lambda_max``."""
-    keep = s.w > tol.rank_tol * max(float(s.w.max()), 0.0)
+def _support(s: Spectrum):
+    """The rank cut: the eigenpairs ``(w, v)`` above ``RANK_RTOL * lambda_max``."""
+    keep = s.w > RANK_RTOL * max(float(s.w.max()), 0.0)
     return s.w[keep], s.v[:, keep]
 
 
-def is_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when the minimum eigenvalue is >= -psd_tol * max(1, lambda_max)."""
+def is_psd(matrix) -> bool:
+    """True when the minimum eigenvalue is >= -PSD_RTOL * max(1, lambda_max)."""
     try:
-        _psd_eigh(matrix, tol, vectors=False)
+        _psd_eigh(matrix, vectors=False)
     except NotPositiveSemidefinite:
         return False
     return True
 
 
-def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
+def loewner_leq(a, b) -> bool:
     """Operator order: A <= B iff B - A is positive semidefinite."""
     x = as_symmetric(a)
     y = as_symmetric(b)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
-    return is_psd(y - x, tol)
+    return is_psd(y - x)
 
 
-def pseudo_inverse(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def pseudo_inverse(matrix) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix.
 
-    Eigenvalues above ``rank_tol * lambda_max`` are inverted, the rest are
+    Eigenvalues above ``RANK_RTOL * lambda_max`` are inverted, the rest are
     zeroed.  The zero matrix maps to the zero matrix.
     """
-    w, v = _support(_psd_eigh(matrix, tol), tol)
+    w, v = _support(_psd_eigh(matrix))
     return _sym((v / w) @ v.T)
 
 
-def sqrt_psd(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sqrt_psd(matrix) -> np.ndarray:
     """Unique PSD square root of a PSD matrix."""
-    s = _psd_eigh(matrix, tol)
+    s = _psd_eigh(matrix)
     return _sym((s.v * np.sqrt(np.clip(s.w, 0.0, None))) @ s.v.T)
 
 
-def support_projector(matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def support_projector(matrix) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    _, kept = _support(_psd_eigh(matrix, tol), tol)
+    _, kept = _support(_psd_eigh(matrix))
     return _sym(kept @ kept.T)
 
 
-def satisfaction(rho, a, tol: Tolerances = DEFAULT_TOL) -> float:
+def satisfaction(rho, a) -> float:
     """Degree to which density operator ``rho`` satisfies predicate ``a``.
 
     Returns ``trace(rho @ a)``, which is nonnegative for PSD inputs up to
@@ -218,6 +197,6 @@ def satisfaction(rho, a, tol: Tolerances = DEFAULT_TOL) -> float:
         raise DimensionMismatch(f"shape {r.shape} vs {m.shape}")
     if abs(float(np.trace(r)) - 1.0) > DENSITY_TRACE_ATOL:
         raise NotDensityOperator(f"state trace {float(np.trace(r))!r} is not 1")
-    _psd_spectrum(r, tol, "state", vectors=False)
-    _psd_spectrum(m, tol, "predicate", vectors=False)
+    _psd_spectrum(r, "state", vectors=False)
+    _psd_spectrum(m, "predicate", vectors=False)
     return max(float(np.trace(r @ m)), 0.0)

@@ -92,9 +92,7 @@ class DensityTensor:
             raise DimensionMismatch(
                 f"entries shape {entries.shape} does not match spaces {spaces}"
             )
-        factor = psd._psd_eigh(
-            entries.reshape(dim, dim), psd.DEFAULT_TOL, name="flattened tensor"
-        )
+        factor = psd._psd_eigh(entries.reshape(dim, dim), name="flattened tensor")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "entries", factor.matrix.reshape(spaces + spaces))
         object.__setattr__(self, "spectrum", factor)

@@ -27,9 +27,11 @@ class TestValidation:
         with pytest.raises(NotSymmetric):
             psd.spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            psd.Tolerances(psd_tol=0.0)
+    @pytest.mark.parametrize("exponent", range(-30, 31, 5))
+    def test_rejects_asymmetric_at_every_scale(self, exponent):
+        # Each matrix is held to its own scale, so no size escapes the rule.
+        with pytest.raises(NotSymmetric):
+            psd.spectrum(10.0**exponent * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def reconstruct(s: psd.Spectrum) -> np.ndarray:
