@@ -12,7 +12,6 @@ from .entailment import (
     ErrorDecomposition,
     FiniteSetProposition,
     Normalization,
-    bayes_transform,
     disc_grid,
     format_grid_csv,
     from_bloch,
@@ -43,11 +42,8 @@ from .psd import (
     Spectrum,
     is_psd,
     loewner_leq,
-    pseudo_inverse,
     satisfaction,
     spectrum,
-    sqrt_psd,
-    support_projector,
 )
 from .semantics import (
     DensityTensor,
@@ -57,8 +53,6 @@ from .semantics import (
     frobenius_iota,
     frobenius_mu,
     relative_clause,
-    similarity,
-    snake_check,
     space_dims,
     word_meaning,
 )
@@ -70,11 +64,8 @@ __all__ = [
     "Spectrum",
     "is_psd",
     "loewner_leq",
-    "pseudo_inverse",
     "satisfaction",
     "spectrum",
-    "sqrt_psd",
-    "support_projector",
     "PregroupType",
     "ReductionPattern",
     "SimpleType",
@@ -88,15 +79,12 @@ __all__ = [
     "frobenius_iota",
     "frobenius_mu",
     "relative_clause",
-    "similarity",
-    "snake_check",
     "space_dims",
     "word_meaning",
     "EntailmentResult",
     "ErrorDecomposition",
     "FiniteSetProposition",
     "Normalization",
-    "bayes_transform",
     "disc_grid",
     "format_grid_csv",
     "from_bloch",

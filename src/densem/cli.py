@@ -24,7 +24,7 @@ from .entailment import (
     k_max,
     normalize,
 )
-from .errors import DensemError, StructureMismatch, ZeroOperatorError
+from .errors import DensemError, OutputIOError, StructureMismatch, ZeroOperatorError
 from .lexicon import compose_sentence, load_lexicon, word_product_bound
 from .pregroup import parse_type, reduce
 
@@ -143,15 +143,18 @@ def cmd_disc(
     rows = disc_grid(target, resolution, strategy)
     payload = format_grid_csv(rows)
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(tmp_path, out_path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OutputIOError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     click.echo(f"rows: {len(rows)}")
     return 0
 

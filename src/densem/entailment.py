@@ -156,8 +156,13 @@ def _contained(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Whether each support of ``A``, a stack ``(..., n, n)``, lies in ``span(u)``.
 
     ``u`` holds ``B``'s support eigenvectors; ``A`` is contained when
-    ``||A - U U^T A||`` is at most ``COMPARE_RTOL * ||A||``.
+    ``||A - U U^T A||`` is at most ``COMPARE_RTOL * ||A||``, with each ``A`` in
+    units of the least power of two above its largest entry: an exact scaling
+    that keeps the squares in the norms from overflow and underflow at any
+    scale.  The zero operator stays contained.
     """
+    _, exponent = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
+    A = np.ldexp(A, -exponent)
     residual = _frobenius(A - u @ (u.T @ A))
     return residual <= COMPARE_RTOL * _frobenius(A)
 
@@ -266,19 +271,13 @@ def set_entailment(
 
 
 def normalize(matrix, strategy):
-    """Rescale or transform a PSD matrix or factor; returns the kind it was given."""
+    """Rescale or transform a PSD matrix or factor; returns the kind it was given.
+
+    ``bayes`` maps the sorted spectrum ``d_0 >= d_1 >= ...`` to ``d_0, d_0*d_1, ...``.
+    """
     strategy = Normalization.coerce(strategy)
     s = _normalize(_psd_eigh(matrix, vectors=strategy is Normalization.BAYESIAN), strategy)
     return s if isinstance(matrix, Spectrum) else s.matrix
-
-
-def bayes_transform(matrix) -> np.ndarray:
-    """Replace the sorted spectrum by its running products, same basis.
-
-    With eigenvalues ``d_0 >= d_1 >= ...`` the output eigenvalues are
-    ``d_0, d_0*d_1, d_0*d_1*d_2, ...`` on the unchanged eigenvectors.
-    """
-    return _normalize(_psd_eigh(matrix), Normalization.BAYESIAN).matrix
 
 
 def _normalize(s: Spectrum, strategy: Normalization) -> Spectrum:
@@ -307,7 +306,8 @@ def from_bloch(x: float, z: float) -> np.ndarray:
     """The 2x2 trace-1 PSD matrix with disc coordinates ``(x, z)``."""
     x = float(x)
     z = float(z)
-    if x * x + z * z > _DISC_EDGE:
+    # Written so that NaN, which compares false, is refused too.
+    if not x * x + z * z <= _DISC_EDGE:
         raise OutsideDiscError(f"({x}, {z}) lies outside the closed unit disc")
     return _bloch_states(x, z)
 

@@ -108,6 +108,12 @@ class LexiconIOError(DensemError):
     exit_code = 1
 
 
+class OutputIOError(DensemError):
+    """An output file could not be written."""
+
+    exit_code = 1
+
+
 class UnknownWordError(DensemError):
     """A sentence contains words absent from the lexicon.
 

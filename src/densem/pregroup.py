@@ -123,6 +123,10 @@ def reduce(
     symbol.  Candidate partners are tried nearest-first and contraction is
     preferred over survival, which makes the returned pattern the
     leftmost-innermost one and the search deterministic.
+
+    ``derive`` yields each segment it needs, decided on an explicit stack (an
+    empty one reduces only to nothing), so no recursion limit bounds the
+    sentence.  A result is a tree ``(pair, inner, rest)``, or ``()``.
     """
     if not sequence:
         raise ValueError("sequence of types must be nonempty")
@@ -130,35 +134,51 @@ def reduce(
     tgt = target.simples
     n = len(flat)
     end = len(tgt)
+    if not n:
+        return None if end else ReductionPattern(frozenset(), ())
     memo: dict[tuple[int, int, int], Optional[tuple]] = {}
 
-    def derive(i: int, j: int, t: int) -> Optional[tuple]:
-        key = (i, j, t)
-        if key in memo:
-            return memo[key]
-        result: Optional[tuple] = None
-        if i == j:
-            result = () if t == end else None
-        else:
-            for m in range(i + 1, j, 2):
-                if not _contractible(flat[i], flat[m]):
-                    continue
-                inner = derive(i + 1, m, end)
-                if inner is None:
-                    continue
-                rest = derive(m + 1, j, t)
-                if rest is None:
-                    continue
-                result = ((i, m),) + inner + rest
-                break
-            if result is None and t < end and flat[i] == tgt[t]:
-                result = derive(i + 1, j, t + 1)
-        memo[key] = result
-        return result
-
-    pairs = derive(0, n, 0)
-    if pairs is None:
+    def derive(i: int, j: int, t: int):
+        for m in range(i + 1, j, 2):
+            if not _contractible(flat[i], flat[m]):
+                continue
+            inner = yield (i + 1, m, end)
+            if inner is None:
+                continue
+            rest = yield (m + 1, j, t)
+            if rest is None:
+                continue
+            return ((i, m), inner, rest)
+        if t < end and flat[i] == tgt[t]:
+            return (yield (i + 1, j, t + 1))
         return None
+
+    stack = [((0, n, 0), derive(0, n, 0))]
+    result = None
+    while stack:
+        key, frame = stack[-1]
+        try:
+            needed = frame.send(result)
+        except StopIteration as done:
+            result = memo[key] = done.value
+            stack.pop()
+            continue
+        if needed[0] == needed[1]:
+            result = () if needed[2] == end else None
+        elif needed in memo:
+            result = memo[needed]
+        else:
+            stack.append((needed, derive(*needed)))
+            result = None
+
+    if result is None:
+        return None
+    pairs, trees = [], [result]
+    while trees:
+        tree = trees.pop()
+        if tree:
+            pairs.append(tree[0])
+            trees += tree[1:]
     matched = {index for pair in pairs for index in pair}
     survivors = tuple(i for i in range(n) if i not in matched)
     return ReductionPattern(frozenset(pairs), survivors)

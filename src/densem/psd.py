@@ -82,7 +82,8 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
 
 
 def _sym(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
+    half = 0.5 * matrix  # halved before the sum, which then cannot overflow
+    return half + half.swapaxes(-1, -2)
 
 
 def _symmetric(x):
@@ -161,28 +162,6 @@ def loewner_leq(a, b) -> bool:
     if x.shape != y.shape:
         raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
     return is_psd(y - x)
-
-
-def pseudo_inverse(matrix) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a PSD matrix.
-
-    Eigenvalues above ``RANK_RTOL * lambda_max`` are inverted, the rest are
-    zeroed.  The zero matrix maps to the zero matrix.
-    """
-    w, v = _support(_psd_eigh(matrix))
-    return _sym((v / w) @ v.T)
-
-
-def sqrt_psd(matrix) -> np.ndarray:
-    """Unique PSD square root of a PSD matrix."""
-    s = _psd_eigh(matrix)
-    return _sym((s.v * np.sqrt(np.clip(s.w, 0.0, None))) @ s.v.T)
-
-
-def support_projector(matrix) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
-    _, kept = _support(_psd_eigh(matrix))
-    return _sym(kept @ kept.T)
 
 
 def satisfaction(rho, a) -> float:

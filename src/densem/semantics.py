@@ -27,7 +27,6 @@ from .errors import (
     PatternMismatch,
     TensorTooLarge,
     WeightError,
-    ZeroOperatorError,
 )
 from .pregroup import PregroupType, ReductionPattern
 
@@ -301,28 +300,6 @@ def _plan(pattern: ReductionPattern, dims: tuple[int, ...], counts: tuple[int, .
     return tuple(traces), tuple(steps), tuple(held[0].index(label) for label in out_labels)
 
 
-def snake_check(dim: int) -> bool:
-    """Verify the snake identities for the cup/cap pair at a dimension.
-
-    Builds the unit (1 -> sum_i |i>|i>) and counit (|i>|j> -> delta_ij)
-    coefficient tensors and checks that both zig-zag composites act as the
-    identity to 1e-12.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    unit = np.eye(dim)
-    counit = np.eye(dim)
-    basis = np.eye(dim)
-    bent_right = np.einsum("ij,ck->cijk", unit, basis)
-    left_composite = np.einsum("cijk,jk->ci", bent_right, counit)
-    bent_left = np.einsum("ci,jk->cijk", basis, unit)
-    right_composite = np.einsum("cijk,ij->ck", bent_left, counit)
-    return bool(
-        np.abs(left_composite - basis).max() <= 1e-12
-        and np.abs(right_composite - basis).max() <= 1e-12
-    )
-
-
 def frobenius_mu(rho: DensityTensor, sigma: DensityTensor) -> DensityTensor:
     """Doubled merging: the entrywise product of two single-space tensors."""
     if len(rho.spaces) != 1 or len(sigma.spaces) != 1:
@@ -332,36 +309,22 @@ def frobenius_mu(rho: DensityTensor, sigma: DensityTensor) -> DensityTensor:
     return DensityTensor(rho.spaces, rho.entries * sigma.entries)
 
 
-def frobenius_iota(
-    rho: DensityTensor, space_index: int, mode: str = "sum"
-) -> DensityTensor:
+def frobenius_iota(rho: DensityTensor, space_index: int) -> DensityTensor:
     """Doubled deletion of one space.
 
-    ``mode="sum"`` sums all entries over the deleted ket/bra index pair
-    (the literal doubling of the basis-deleting map); ``mode="trace"``
-    takes the partial trace instead.
+    Sums all entries over the deleted ket/bra index pair: the literal
+    doubling of the basis-deleting map.
     """
     m = len(rho.spaces)
     if not 0 <= space_index < m:
         raise IndexError(f"space index {space_index} out of range for {m} spaces")
-    deletion = _deletion(mode, rho.spaces[space_index])
-    entries = np.tensordot(rho.entries, deletion, ([space_index, m + space_index], [0, 1]))
+    entries = rho.entries.sum(axis=(space_index, m + space_index))
     remaining = tuple(d for i, d in enumerate(rho.spaces) if i != space_index)
     return DensityTensor(remaining, entries)
 
 
-def _deletion(mode: str, dim: int) -> np.ndarray:
-    """Weights over one space's ket/bra pair: ones to sum, identity to trace."""
-    if mode not in ("sum", "trace"):
-        raise ValueError(f"unknown deletion mode {mode!r}")
-    return np.ones((dim, dim)) if mode == "sum" else np.eye(dim)
-
-
 def relative_clause(
-    subj: DensityTensor,
-    verb: DensityTensor,
-    obj: DensityTensor,
-    iota_mode: str = "sum",
+    subj: DensityTensor, verb: DensityTensor, obj: DensityTensor
 ) -> DensityTensor:
     """Meaning of ``subj who verb obj`` via the Frobenius recipe.
 
@@ -379,30 +342,8 @@ def relative_clause(
         raise DimensionMismatch(
             f"object spaces {obj.spaces} do not match verb object space {verb.spaces[2]}"
         )
-    deletion = _deletion(iota_mode, verb.spaces[1])
+    # The sentence indices 2 and 4 are left out of the output: the deletion.
     entries = np.einsum(
-        subj.entries,
-        [0, 1],
-        verb.entries,
-        [0, 2, 3, 1, 4, 5],
-        deletion,
-        [2, 4],
-        obj.entries,
-        [3, 5],
-        [0, 1],
+        subj.entries, [0, 1], verb.entries, [0, 2, 3, 1, 4, 5], obj.entries, [3, 5], [0, 1]
     )
     return DensityTensor((verb.spaces[0],), entries)
-
-
-def similarity(rho: DensityTensor, sigma: DensityTensor) -> float:
-    """Normalized overlap trace(rho sigma) / sqrt(trace(rho^2) trace(sigma^2))."""
-    if rho.spaces != sigma.spaces:
-        raise DimensionMismatch(f"spaces {rho.spaces} vs {sigma.spaces}")
-    a = rho.matrix
-    b = sigma.matrix
-    norm_a = float(np.trace(a @ a))
-    norm_b = float(np.trace(b @ b))
-    if norm_a <= 0.0 or norm_b <= 0.0:
-        raise ZeroOperatorError("similarity is undefined for the zero operator")
-    value = float(np.trace(a @ b)) / np.sqrt(norm_a * norm_b)
-    return min(max(value, 0.0), 1.0)

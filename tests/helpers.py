@@ -32,6 +32,27 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
     return 0.5 * (p + p.T)
 
 
+def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix above 1e-10 of its top eigenvalue."""
+    w, v = np.linalg.eigh(m)
+    keep = w > 1e-10 * max(float(w[-1]), 0.0)
+    return w[keep], v[:, keep]
+
+
+def pseudo_inverse(m: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a PSD matrix; zero maps to zero."""
+    w, v = _support(m)
+    p = (v / w) @ v.T
+    return 0.5 * (p + p.T)
+
+
+def support_projector(m: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the support (range) of a PSD matrix."""
+    _, v = _support(m)
+    p = v @ v.T
+    return 0.5 * (p + p.T)
+
+
 def nested_psd_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """A PSD pair (A, B) with the range of A inside the range of B."""
     rank_b = int(rng.integers(1, dim + 1))

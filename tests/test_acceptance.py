@@ -11,12 +11,12 @@ import pytest
 import densem.psd as psd
 from densem.entailment import (
     Normalization,
-    bayes_transform,
     disc_grid,
     from_bloch,
     general_error,
     is_k_hyponym,
     k_max,
+    normalize,
     to_bloch,
 )
 from densem.cli import main as cli_main
@@ -26,7 +26,6 @@ from densem.semantics import (
     DensityTensor,
     double,
     evaluate,
-    snake_check,
     space_dims,
     word_meaning,
 )
@@ -35,9 +34,11 @@ from helpers import (
     bisect_max_strength,
     compose_sentence,
     nested_psd_pair,
+    pseudo_inverse,
     random_density,
     random_projector,
     random_psd,
+    support_projector,
 )
 
 S_TYPE = parse_type("s")
@@ -271,13 +272,13 @@ class TestPropertySuites:
                 a, b = nested_psd_pair(rng, dim)
                 if np.linalg.norm(a) < 1e-6:
                     continue
-                projector = psd.support_projector(b)
+                projector = support_projector(b)
                 raw_rho = projector @ random_psd(rng, dim) @ projector
                 trace = np.trace(raw_rho)
                 if trace < 1e-6:
                     continue
                 rho = raw_rho / trace
-                b_pinv_top = float(np.linalg.eigvalsh(psd.pseudo_inverse(b))[-1])
+                b_pinv_top = float(np.linalg.eigvalsh(pseudo_inverse(b))[-1])
                 base = k_max(a, b)
                 for delta in (1e-1, 1e-2, 1e-3):
                     perturbed = k_max(a + delta * rho, b)
@@ -322,14 +323,24 @@ class TestPropertySuites:
                 else:
                     p = random_projector(rng, dim, int(rng.integers(1, dim + 1)))
                 residual = np.linalg.norm(
-                    (np.eye(dim) - psd.support_projector(q)) @ p
+                    (np.eye(dim) - support_projector(q)) @ p
                 )
                 assert psd.loewner_leq(p, q) == (residual <= 1e-8)
 
     def test_snake_equations(self):
         with criterion("snake identities hold for dimensions 1 through 8"):
             for dim in range(1, 9):
-                assert snake_check(dim)
+                # The unit (1 -> sum_i |i>|i>) and counit (|i>|j> -> delta_ij)
+                # coefficient tensors; both zig-zag composites are the identity.
+                unit = np.eye(dim)
+                counit = np.eye(dim)
+                basis = np.eye(dim)
+                bent_right = np.einsum("ij,ck->cijk", unit, basis)
+                left_composite = np.einsum("cijk,jk->ci", bent_right, counit)
+                bent_left = np.einsum("ci,jk->cijk", basis, unit)
+                right_composite = np.einsum("cijk,ij->ck", bent_left, counit)
+                assert np.abs(left_composite - basis).max() <= 1e-12
+                assert np.abs(right_composite - basis).max() <= 1e-12
 
     def test_general_sentence_lower_bound(self):
         with criterion("word strengths multiply into a sentence lower bound (2-4 slots)"):
@@ -473,7 +484,7 @@ class TestPropertySuites:
                 dim = int(rng.integers(2, 9))
                 rho = random_density(rng, dim)
                 expected = np.cumprod(np.sort(np.linalg.eigvalsh(rho))[::-1].clip(0.0))
-                transformed = bayes_transform(rho)
+                transformed = normalize(rho, "bayes")
                 got = np.sort(np.linalg.eigvalsh(transformed))[::-1]
                 np.testing.assert_allclose(got, expected, atol=1e-10)
                 assert np.all(np.diff(got) <= 1e-10)

@@ -55,6 +55,21 @@ class TestParse:
         assert code == 1
         assert "pets" in err and "dogs" in err
 
+    def test_five_thousand_word_chain(self, capsys, tmp_path):
+        lexicon = {
+            "spaces": {"n": 1},
+            "words": [
+                {"word": "a", "type": "n n.l", "meaning": {"matrix": [[1.0]]}},
+                {"word": "b", "type": "n", "meaning": {"matrix": [[1.0]]}},
+            ],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(lexicon))
+        sentence = "a " * 4999 + "b"
+        code, out, err = run(capsys, "parse", "--lexicon", str(path), "--target", "n", sentence)
+        assert (code, err) == (0, "")
+        assert out.endswith("survivors: 0\ngrammatical: yes\n")
+
     def test_missing_lexicon_exits_one(self, capsys):
         code, _, err = run(capsys, "parse", "--lexicon", "/nonexistent.json", "John")
         assert code == 1
@@ -400,6 +415,29 @@ class TestDisc:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("x, z", [("nan", "0.0"), ("0.0", "nan")])
+    def test_nan_target_is_outside_the_disc(self, capsys, tmp_path, x, z):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "disc", "--target-x", x, "--target-z", z, "--out", str(out)
+        )
+        assert code == 1
+        assert err.startswith("error: (") and "outside the closed unit disc" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("missing_directory", [True, False])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, missing_directory):
+        out = tmp_path / "missing" / "x.csv" if missing_directory else tmp_path
+        code, stdout, err = run(
+            capsys, "disc", "--target-x", "0.0", "--target-z", "0.0", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 def _error_types(base=densem.errors.DensemError):
     for sub in base.__subclasses__():
@@ -428,6 +466,7 @@ EXIT_CODES = {
     "SchemaError": 1,
     "DuplicateWordError": 1,
     "LexiconIOError": 1,
+    "OutputIOError": 1,
     "UnknownWordError": 1,
     "UngrammaticalSentence": 2,
     "StructureMismatch": 1,

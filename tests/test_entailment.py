@@ -14,7 +14,6 @@ from densem.entailment import (
     EntailmentResult,
     FiniteSetProposition,
     Normalization,
-    bayes_transform,
     disc_grid,
     format_grid_csv,
     from_bloch,
@@ -37,13 +36,7 @@ from densem.errors import (
     StrengthRangeError,
     ZeroOperatorError,
 )
-from densem.psd import (
-    Spectrum,
-    pseudo_inverse,
-    spectrum,
-    sqrt_psd,
-    support_projector,
-)
+from densem.psd import Spectrum, spectrum
 from helpers import FIXTURES, bisect_max_strength, nested_psd_pair, random_psd
 
 BLOCK_A = np.diag([1.0, 1.0, 0.0])
@@ -158,7 +151,7 @@ class TestKMax:
 
 
 def _log_uniform(rng: np.random.Generator) -> float:
-    return float(10.0 ** rng.uniform(-30.0, 30.0))
+    return float(10.0 ** rng.uniform(-200.0, 200.0))
 
 
 class TestScaleAndRotation:
@@ -184,6 +177,11 @@ class TestScaleAndRotation:
             for value in covariant:
                 assert abs(value - raw) <= 1e-6 * raw
             checked += 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_scale(self):
+        big = 1e308 * np.eye(2)
+        assert k_max(big, big).k_max == 1.0
 
     def test_non_nested_pairs_never_contained(self):
         rng = np.random.default_rng(62)
@@ -243,11 +241,9 @@ class TestEigensolveCounts:
         assert len(rows) == 7845
         assert _names(eigensolves) == ["eigh", "eigh", "eigvalsh"]
 
-    @pytest.mark.parametrize(
-        "primitive", [pseudo_inverse, sqrt_psd, support_projector, bayes_transform]
-    )
-    def test_primitives_factorise_once(self, primitive, eigensolves):
-        primitive(random_psd(np.random.default_rng(63), 4))
+    @pytest.mark.parametrize("strategy", list(Normalization))
+    def test_primitives_factorise_once(self, strategy, eigensolves):
+        normalize(random_psd(np.random.default_rng(63), 4), strategy)
         assert len(eigensolves) == 1
 
     @pytest.mark.parametrize(
@@ -308,7 +304,7 @@ class TestChecksOnTheLazyPath:
             query(np.diag([1.0, -1.0, 0.0]), BLOCK_B)
 
     def test_uncontained_a_at_any_scale_is_not_a_zero_operator(self):
-        for c in (1e-30, 1e-13, 1.0, 1e30):
+        for c in (1e-300, 1e-170, 1e-30, 1e-13, 1.0, 1e30, 1e160, 1e300):
             assert not supports_contained(c * BLOCK_A, BLOCK_B)
             assert not k_max(c * BLOCK_A, BLOCK_B).supports_contained
         with pytest.raises(ZeroOperatorError):
@@ -479,24 +475,21 @@ class TestNormalize:
         with pytest.raises(ZeroOperatorError):
             normalize(np.zeros((2, 2)), "trace")
 
-    def test_bayes_strategy_matches_transform(self):
-        rng = np.random.default_rng(59)
-        a = random_psd(rng, 3)
-        np.testing.assert_allclose(normalize(a, "bayes"), bayes_transform(a))
-
 
 class TestBayesTransform:
+    """``normalize(m, "bayes")``: the sorted spectrum's running products."""
+
     def test_running_products_on_diagonal(self):
-        result = bayes_transform(np.diag([0.5, 0.3, 0.2]))
+        result = normalize(np.diag([0.5, 0.3, 0.2]), "bayes")
         np.testing.assert_allclose(result, np.diag([0.5, 0.15, 0.03]), atol=1e-12)
 
     def test_identity_preserved(self):
-        np.testing.assert_allclose(bayes_transform(np.eye(2)), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(normalize(np.eye(2), "bayes"), np.eye(2), atol=1e-12)
 
     def test_rank_one_unchanged(self):
         v = np.array([0.6, 0.8, 0.0, 0.0])
         m = 0.8 * np.outer(v, v)
-        np.testing.assert_allclose(bayes_transform(m), m, atol=1e-12)
+        np.testing.assert_allclose(normalize(m, "bayes"), m, atol=1e-12)
 
     def test_rotated_diagonal(self):
         rng = np.random.default_rng(60)
@@ -504,7 +497,7 @@ class TestBayesTransform:
         d = np.diag([0.5, 0.3, 0.2])
         m = q @ d @ q.T
         expected = q @ np.diag([0.5, 0.15, 0.03]) @ q.T
-        np.testing.assert_allclose(bayes_transform(m), expected, atol=1e-10)
+        np.testing.assert_allclose(normalize(m, "bayes"), expected, atol=1e-10)
 
 
 class TestBloch:

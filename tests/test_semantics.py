@@ -18,7 +18,6 @@ from densem.errors import (
     PatternMismatch,
     TensorTooLarge,
     WeightError,
-    ZeroOperatorError,
 )
 from densem.lexicon import load_lexicon, parse_lexicon
 from densem.pregroup import ReductionPattern, parse_type, reduce
@@ -30,8 +29,6 @@ from densem.semantics import (
     frobenius_iota,
     frobenius_mu,
     relative_clause,
-    similarity,
-    snake_check,
     word_meaning,
 )
 from helpers import FIXTURES, compose_sentence, random_psd
@@ -390,16 +387,6 @@ class TestPlannedContraction:
         assert main(["compose", "--lexicon", KICKS, "John kicks cats"]) == 3
 
 
-class TestSnake:
-    @pytest.mark.parametrize("dim", [1, 2, 7])
-    def test_snake_identities(self, dim):
-        assert snake_check(dim)
-
-    def test_bad_dimension(self):
-        with pytest.raises(ValueError):
-            snake_check(0)
-
-
 class TestFrobenius:
     def test_mu_entrywise(self):
         a = DensityTensor.from_matrix(np.diag([1.0, 0.0]), (2,))
@@ -428,10 +415,6 @@ class TestFrobenius:
     def test_iota_on_doubled_uniform(self):
         t = DensityTensor.from_matrix(np.full((2, 2), 0.25), (2,))
         assert frobenius_iota(t, 0).matrix[0, 0] == pytest.approx(1.0)
-
-    def test_iota_trace_mode(self):
-        t = DensityTensor.from_matrix(np.full((2, 2), 0.25), (2,))
-        assert frobenius_iota(t, 0, mode="trace").matrix[0, 0] == pytest.approx(0.5)
 
     def test_iota_bad_index(self):
         t = DensityTensor.from_matrix(np.eye(2), (2,))
@@ -497,37 +480,3 @@ class TestRelativeClause:
         difference = s2.matrix - s1.matrix / 6.0
         w = np.linalg.eigvalsh(difference)
         assert w[0] >= -1e-9
-
-    def test_trace_mode_also_positive(self):
-        lexicon = load_lexicon(FIXTURES / "relative.json")
-        spaces = lexicon.spaces
-        s1 = relative_clause(
-            word_meaning(lexicon.words["elderly_ladies"], spaces),
-            word_meaning(lexicon.words["own"], spaces),
-            word_meaning(lexicon.words["cats"], spaces),
-            iota_mode="trace",
-        )
-        assert np.linalg.eigvalsh(s1.matrix)[0] >= -1e-9
-
-
-class TestSimilarity:
-    def test_self_similarity(self):
-        rng = np.random.default_rng(41)
-        t = DensityTensor.from_matrix(random_psd(rng, 3), (3,))
-        assert similarity(t, t) == pytest.approx(1.0)
-
-    def test_orthogonal_supports(self):
-        a = DensityTensor.from_matrix(np.diag([1.0, 0.0]), (2,))
-        b = DensityTensor.from_matrix(np.diag([0.0, 1.0]), (2,))
-        assert similarity(a, b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pure_vs_maximally_mixed(self):
-        a = DensityTensor.from_matrix(np.diag([1.0, 0.0]), (2,))
-        b = DensityTensor.from_matrix(np.diag([0.5, 0.5]), (2,))
-        assert similarity(a, b) == pytest.approx(1.0 / np.sqrt(2.0))
-
-    def test_zero_operator(self):
-        a = DensityTensor.from_matrix(np.zeros((2, 2)), (2,))
-        b = DensityTensor.from_matrix(np.eye(2), (2,))
-        with pytest.raises(ZeroOperatorError):
-            similarity(a, b)
