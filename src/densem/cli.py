@@ -140,14 +140,14 @@ def cmd_disc(
 ) -> int:
     """Write the entailment-strength grid for a 2x2 target state."""
     target = from_bloch(target_x, target_z)
-    rows = disc_grid(target, resolution, strategy)
-    payload = format_grid_csv(rows)
     directory = os.path.dirname(os.path.abspath(out_path))
     try:
+        # Opened before the grid is built, so a bad --out fails before the work.
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                rows = disc_grid(target, resolution, strategy)
+                handle.write(format_grid_csv(rows))
             os.replace(tmp_path, out_path)
         except BaseException:
             if os.path.exists(tmp_path):

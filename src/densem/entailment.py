@@ -48,13 +48,13 @@ from .psd import (
     DENSITY_TRACE_ATOL,
     Spectrum,
     _eigensolve,
-    _psd_eigh,
+    _leq,
+    _pair,
     _psd_spectrum,
     _support,
     _sym,
     _symmetric,
     _symmetrized,
-    is_psd,
 )
 
 # Cap on a disc lattice's points (resolution 1024), checked before any
@@ -119,22 +119,6 @@ class ErrorDecomposition:
     deficit: np.ndarray
 
 
-def _pair(a, b, vectors: bool):
-    """Validate both operands, in the order every query runs the checks.
-
-    Runs ``a``'s shape, finiteness and symmetry rules, ``b``'s eigensolve
-    (with eigenvectors if ``vectors``) and PSD rule, and the shape check.
-    Returns ``a`` (a factor, or the validated array) for the caller to put
-    through the PSD rule, its matrix, and ``b``'s factor.
-    """
-    a = _symmetric(a)
-    B = _psd_eigh(b, name="B", vectors=vectors)
-    A = a.matrix if isinstance(a, Spectrum) else a
-    if A.shape != B.matrix.shape:
-        raise DimensionMismatch(f"shape {A.shape} vs {B.matrix.shape}")
-    return a, A, B
-
-
 def _containment(a, b, vectors: bool):
     """Validate both operands and decide whether ``A``'s support lies in ``B``'s.
 
@@ -192,9 +176,7 @@ def is_k_hyponym(a, b, k: float) -> bool:
     strength = float(k)
     if not 0.0 < strength <= 1.0:
         raise StrengthRangeError(f"strength {strength!r} is outside (0, 1]")
-    a, A, B = _pair(a, b, vectors=False)
-    _psd_spectrum(a, "A", vectors=False)
-    return is_psd(B.matrix - strength * A)
+    return _leq(a, b, strength)
 
 
 def k_max(a, b) -> EntailmentResult:
@@ -276,7 +258,8 @@ def normalize(matrix, strategy):
     ``bayes`` maps the sorted spectrum ``d_0 >= d_1 >= ...`` to ``d_0, d_0*d_1, ...``.
     """
     strategy = Normalization.coerce(strategy)
-    s = _normalize(_psd_eigh(matrix, vectors=strategy is Normalization.BAYESIAN), strategy)
+    s = _psd_spectrum(_symmetric(matrix), vectors=strategy is Normalization.BAYESIAN)
+    s = _normalize(s, strategy)
     return s if isinstance(matrix, Spectrum) else s.matrix
 
 
@@ -325,7 +308,7 @@ def _qubit_density(matrix) -> Spectrum:
     if shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got shape {shape}")
     try:
-        s = _psd_eigh(matrix)
+        s = _psd_spectrum(_symmetric(matrix))
     except NotPositiveSemidefinite as exc:
         raise NotDensityOperator(str(exc)) from exc
     trace = float(np.trace(s.matrix))

@@ -1,11 +1,10 @@
 """Primitives for real symmetric positive-semidefinite matrices.
 
 Inputs are validated (square, finite, symmetric within a relative tolerance
-of 1e-12) and every matrix product is re-symmetrized by averaging with its
-transpose to suppress round-off drift.  A validated matrix and its
-eigendecomposition travel together as one :class:`Spectrum`.  The PSD rule
-and the rank cut read its eigenvalues against the relative thresholds
-``PSD_RTOL`` and ``RANK_RTOL``, with no eigensolve.
+of 1e-12) and stored as the exactly symmetric average with their transpose.
+A validated matrix and its eigendecomposition travel together as one
+:class:`Spectrum`.  The PSD rule and the rank cut read its eigenvalues against
+the relative thresholds ``PSD_RTOL`` and ``RANK_RTOL``, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-12
-# A matrix is PSD when its minimum eigenvalue is at least
-# -PSD_RTOL * max(1, lambda_max).
+# A matrix is PSD when its minimum eigenvalue is at least -PSD_RTOL times
+# the larger of its lambda_max and its operands' scale (_negative).
 PSD_RTOL = 1e-9
 # Eigenvalues at or below RANK_RTOL * lambda_max are zero: the rank cut.
 RANK_RTOL = 1e-10
@@ -63,10 +62,12 @@ def as_symmetric(matrix) -> np.ndarray:
     return _symmetrized(m)
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
+def _symmetrized(m: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """The finiteness and symmetry rules on a float ``(..., n, n)`` stack.
 
-    Each matrix is held to its own scale.  Returns the symmetric averages.
+    Each matrix is held to the larger of its largest entry and ``scale``:
+    0 for a given matrix, its operands' scale for one computed from PSD
+    operands.  Returns the symmetric averages.
     """
     if m.shape[-1] == 0:
         raise DimensionMismatch("matrix dimension must be at least 1")
@@ -74,9 +75,10 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
         raise NonFiniteInput("matrix contains NaN or Inf entries")
     # Entries flattened per matrix: one reduction axis is cheaper than two.
     flat = m.shape[:-2] + (-1,)
-    scale = np.abs(m).reshape(flat).max(axis=-1)
+    largest = np.abs(m).reshape(flat).max(axis=-1)
     asymmetry = np.abs(m - m.swapaxes(-1, -2)).reshape(flat).max(axis=-1)
-    if np.count_nonzero(asymmetry > SYMMETRY_RTOL * scale):
+    bad = (asymmetry > SYMMETRY_RTOL * largest) & (asymmetry > SYMMETRY_RTOL * scale)
+    if np.count_nonzero(bad):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return _sym(m)
 
@@ -94,11 +96,12 @@ def _symmetric(x):
 def _eigensolve(matrix: np.ndarray, vectors: bool = True):
     """Ascending eigenvalues of a symmetric array and, if asked, eigenvectors."""
     try:
-        if vectors:
-            return np.linalg.eigh(matrix)
-        return np.linalg.eigvalsh(matrix), None
+        w, v = np.linalg.eigh(matrix) if vectors else (np.linalg.eigvalsh(matrix), None)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc
+    if not np.isfinite(w).all():  # finite entries whose spectrum overflows
+        raise ConvergenceError("eigenvalues overflow the float range")
+    return w, v
 
 
 def _solved(x, vectors: bool) -> Spectrum:
@@ -115,27 +118,23 @@ def spectrum(matrix) -> Spectrum:
     return _solved(_symmetric(matrix), vectors=True)
 
 
-def _psd_eigh(matrix, name: str = "matrix", vectors: bool = True) -> Spectrum:
-    """Validate a symmetric PSD matrix, or a factor, with at most one eigensolve."""
-    return _psd_spectrum(_symmetric(matrix), name, vectors)
+def _negative(w: np.ndarray, scale: float = 0.0):
+    """Where a lowest eigenvalue is below ``-PSD_RTOL * max(lambda_max, scale)``.
 
-
-def _psd_spectrum(m, name: str, vectors: bool = True) -> Spectrum:
-    """The PSD rule on a symmetric ``(..., n, n)`` stack or on its factor.
-
-    Each minimum eigenvalue must be at least ``-PSD_RTOL * max(1,
-    lambda_max)`` of its own matrix.  Solves only what ``_solved`` must.
+    ``w`` is ascending, ``(..., n)``, or an unsorted but nonnegative bayes factor.
     """
+    low, top = w.T[0], w.T[-1]
+    # Two comparisons, which on scalars cost less than one np.maximum.
+    return (low < -PSD_RTOL * top) & (low < -PSD_RTOL * scale)
+
+
+def _psd_spectrum(m, name: str = "matrix", vectors: bool = True, scale: float = 0.0) -> Spectrum:
+    """The PSD rule on a symmetric ``(..., n, n)`` stack or its factor, solved as needed."""
     s = _solved(m, vectors)
-    # Each matrix's lowest and top eigenvalue; for one matrix, numpy scalars.
-    # A bayes factor is unsorted but nonnegative, so it passes either way.
-    low, top = s.w.T[0], s.w.T[-1]
-    # low < -PSD_RTOL * max(1, top) as two comparisons, which on scalars
-    # cost less than one np.maximum.
-    bad = (low < -PSD_RTOL) & (low < -PSD_RTOL * top)
+    bad = _negative(s.w, scale)
     if np.count_nonzero(bad):
         raise NotPositiveSemidefinite(
-            f"{name} is not positive semidefinite (min eigenvalue {low[bad].min():.3e})"
+            f"{name} is not positive semidefinite (min eigenvalue {s.w.T[0][bad].min():.3e})"
         )
     return s
 
@@ -147,21 +146,39 @@ def _support(s: Spectrum):
 
 
 def is_psd(matrix) -> bool:
-    """True when the minimum eigenvalue is >= -PSD_RTOL * max(1, lambda_max)."""
-    try:
-        _psd_eigh(matrix, vectors=False)
-    except NotPositiveSemidefinite:
-        return False
-    return True
+    """True when the minimum eigenvalue is >= -PSD_RTOL * lambda_max."""
+    return not _negative(_solved(_symmetric(matrix), vectors=False).w)
+
+
+def _pair(a, b, vectors: bool, name: str = "B"):
+    """Validate both operands, in the order every query runs the checks.
+
+    ``a``'s shape, finiteness and symmetry; ``b``'s PSD rule (with eigenvectors
+    if ``vectors``); the shapes.  Returns ``a`` (a factor, or the validated
+    array) for the caller's PSD rule, its matrix, and ``b``'s factor.
+    """
+    a = _symmetric(a)
+    B = _psd_spectrum(_symmetric(b), name, vectors)
+    A = a.matrix if isinstance(a, Spectrum) else a
+    if A.shape != B.matrix.shape:
+        raise DimensionMismatch(f"shape {A.shape} vs {B.matrix.shape}")
+    return a, A, B
+
+
+def _leq(a, b, k: float) -> bool:
+    """The Loewner order on PSD operands: whether ``B - kA`` is PSD.
+
+    Read at the operands' scale ``max(lambda_max(B), k * lambda_max(A))``, for
+    at the boundary the difference, symmetric as it is, is all round-off.
+    """
+    a, A, B = _pair(a, b, vectors=False)
+    scale = max(B.w.max(), k * _psd_spectrum(a, "A", vectors=False).w.max())
+    return not _negative(_eigensolve(B.matrix - k * A, vectors=False)[0], scale)
 
 
 def loewner_leq(a, b) -> bool:
-    """Operator order: A <= B iff B - A is positive semidefinite."""
-    x = as_symmetric(a)
-    y = as_symmetric(b)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
-    return is_psd(y - x)
+    """Operator order on PSD operands: A <= B iff B - A is positive semidefinite."""
+    return _leq(a, b, 1.0)
 
 
 def satisfaction(rho, a) -> float:
@@ -170,12 +187,8 @@ def satisfaction(rho, a) -> float:
     Returns ``trace(rho @ a)``, which is nonnegative for PSD inputs up to
     round-off; noise-level negatives are clamped to zero.
     """
-    r = as_symmetric(rho)
-    m = as_symmetric(a)
-    if r.shape != m.shape:
-        raise DimensionMismatch(f"shape {r.shape} vs {m.shape}")
-    if abs(float(np.trace(r)) - 1.0) > DENSITY_TRACE_ATOL:
-        raise NotDensityOperator(f"state trace {float(np.trace(r))!r} is not 1")
+    r, R, A = _pair(rho, a, vectors=False, name="predicate")
+    if abs(float(np.trace(R)) - 1.0) > DENSITY_TRACE_ATOL:
+        raise NotDensityOperator(f"state trace {float(np.trace(R))!r} is not 1")
     _psd_spectrum(r, "state", vectors=False)
-    _psd_spectrum(m, "predicate", vectors=False)
-    return max(float(np.trace(r @ m)), 0.0)
+    return max(float(np.trace(R @ A.matrix)), 0.0)

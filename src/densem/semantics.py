@@ -13,7 +13,7 @@ so reduction patterns only need dimensions, never dual bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -80,8 +80,10 @@ class DensityTensor:
     spaces: tuple[int, ...]
     entries: np.ndarray
     spectrum: psd.Spectrum = field(init=False, repr=False)
+    # The scale of the PSD operands the entries were computed from, if any.
+    _scale: InitVar[float] = field(default=0.0, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _scale):
         spaces = tuple(int(d) for d in self.spaces)
         if any(d < 1 for d in spaces):
             raise DimensionMismatch("all space dimensions must be >= 1")
@@ -91,7 +93,8 @@ class DensityTensor:
             raise DimensionMismatch(
                 f"entries shape {entries.shape} does not match spaces {spaces}"
             )
-        factor = psd._psd_eigh(entries.reshape(dim, dim), name="flattened tensor")
+        m = psd._symmetrized(entries.reshape(dim, dim), _scale)
+        factor = psd._psd_spectrum(m, "flattened tensor", scale=_scale)
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "entries", factor.matrix.reshape(spaces + spaces))
         object.__setattr__(self, "spectrum", factor)
@@ -162,6 +165,11 @@ def word_meaning(entry: WordEntry, spaces: SpaceAssignment) -> DensityTensor:
     return entry.meaning
 
 
+def _top(tensors) -> float:
+    """The product of the tensors' top eigenvalues: the scale of what they compose."""
+    return prod(float(t.spectrum.w[-1]) for t in tensors)
+
+
 def evaluate(
     words: Sequence[tuple[DensityTensor, PregroupType]],
     pattern: ReductionPattern,
@@ -200,7 +208,8 @@ def evaluate(
         args = [operands.pop(k) for k in positions]
         operands.append(np.tensordot(*args, axes))
     entries = operands[0].transpose(out_axes)
-    return DensityTensor(tuple(dims[p] for p in pattern.survivors), entries)
+    scale = _top(t for t, _ in words)
+    return DensityTensor(tuple(dims[p] for p in pattern.survivors), entries, _scale=scale)
 
 
 @lru_cache(maxsize=256)
@@ -306,7 +315,7 @@ def frobenius_mu(rho: DensityTensor, sigma: DensityTensor) -> DensityTensor:
         raise DimensionMismatch("merging is defined on single-space tensors")
     if rho.spaces != sigma.spaces:
         raise DimensionMismatch(f"spaces {rho.spaces} vs {sigma.spaces}")
-    return DensityTensor(rho.spaces, rho.entries * sigma.entries)
+    return DensityTensor(rho.spaces, rho.entries * sigma.entries, _scale=_top((rho, sigma)))
 
 
 def frobenius_iota(rho: DensityTensor, space_index: int) -> DensityTensor:
@@ -320,7 +329,7 @@ def frobenius_iota(rho: DensityTensor, space_index: int) -> DensityTensor:
         raise IndexError(f"space index {space_index} out of range for {m} spaces")
     entries = rho.entries.sum(axis=(space_index, m + space_index))
     remaining = tuple(d for i, d in enumerate(rho.spaces) if i != space_index)
-    return DensityTensor(remaining, entries)
+    return DensityTensor(remaining, entries, _scale=_top((rho,)))
 
 
 def relative_clause(
@@ -346,4 +355,4 @@ def relative_clause(
     entries = np.einsum(
         subj.entries, [0, 1], verb.entries, [0, 2, 3, 1, 4, 5], obj.entries, [3, 5], [0, 1]
     )
-    return DensityTensor((verb.spaces[0],), entries)
+    return DensityTensor((verb.spaces[0],), entries, _scale=_top((subj, verb, obj)))

@@ -20,6 +20,9 @@ SCOFF = str(FIXTURES / "scoff_eat.json")
 TRUTH = str(FIXTURES / "truth.json")
 SIBLINGS = str(FIXTURES / "siblings.json")
 RELATIVE = str(FIXTURES / "relative.json")
+ROOT = Path(__file__).resolve().parents[1]
+# The benchmark's CLI goldens: argv (paths relative to the repo root) and stdout.
+CLI_GOLDENS = json.loads((ROOT / "bench" / "cli_goldens.json").read_text())
 
 
 def run(capsys, *args):
@@ -437,6 +440,42 @@ class TestDisc:
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_fails_before_the_grid(self, capsys, monkeypatch, tmp_path):
+        def fail(*args):
+            raise AssertionError("the grid was built before the output was opened")
+
+        monkeypatch.setattr(densem.cli, "disc_grid", fail)
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run(
+            capsys, "disc", "--target-x", "0.0", "--target-z", "0.0",
+            "--resolution", "800", "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_grid_removes_the_temp_file(self, capsys, monkeypatch, tmp_path):
+        def fail(*args):
+            raise densem.errors.ResolutionError("boom")
+
+        monkeypatch.setattr(densem.cli, "disc_grid", fail)
+        code, _, err = run(
+            capsys, "disc", "--target-x", "0.0", "--target-z", "0.0",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, err) == (1, "error: boom\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_benchmark_cli_golden(capsys, monkeypatch, name):
+    monkeypatch.chdir(ROOT)
+    golden = CLI_GOLDENS[name]
+    code, out, _ = run(capsys, *golden["argv"])
+    assert code == 0
+    assert out == golden["stdout"]
 
 
 def _error_types(base=densem.errors.DensemError):

@@ -26,6 +26,7 @@ from densem.entailment import (
     to_bloch,
 )
 from densem.errors import (
+    ConvergenceError,
     DimensionMismatch,
     EmptyProposition,
     NotDensityOperator,
@@ -36,7 +37,7 @@ from densem.errors import (
     StrengthRangeError,
     ZeroOperatorError,
 )
-from densem.psd import Spectrum, spectrum
+from densem.psd import Spectrum, loewner_leq, spectrum
 from helpers import FIXTURES, bisect_max_strength, nested_psd_pair, random_psd
 
 BLOCK_A = np.diag([1.0, 1.0, 0.0])
@@ -178,10 +179,42 @@ class TestScaleAndRotation:
                 assert abs(value - raw) <= 1e-6 * raw
             checked += 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-30, 30),
+        proportional=st.booleans(),
+    )
+    def test_order_decision_ignores_units(self, seed, exponent, proportional):
+        # Nested pairs at a random strength, and proportional pairs B = tA at
+        # k_max, where B - kA is all round-off: one answer at every scale.
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 7))
+        if proportional:
+            a = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            b = float(rng.uniform(0.05, 1.0)) * a
+            k = k_max(a, b).k_max
+        else:
+            a, b = nested_psd_pair(rng, dim)
+            k = float(rng.uniform(0.01, 1.0))
+        c = 10.0**exponent
+        assert is_k_hyponym(c * a, c * b, k) == is_k_hyponym(a, b, k)
+        assert loewner_leq(c * b, c * b)
+
     @pytest.mark.filterwarnings("error")
     def test_largest_finite_scale(self):
         big = 1e308 * np.eye(2)
         assert k_max(big, big).k_max == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spectrum_is_refused(self):
+        # Finite entries, but a top eigenvalue of 2e308: no strength or
+        # order read from an infinite eigenvalue.
+        a = 1e308 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(ConvergenceError, match="overflow"):
+            k_max(a, 0.5 * a)
+        with pytest.raises(ConvergenceError, match="overflow"):
+            loewner_leq(a, 0.5 * a)
 
     def test_non_nested_pairs_never_contained(self):
         rng = np.random.default_rng(62)

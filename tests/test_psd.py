@@ -8,6 +8,7 @@ from densem.errors import (
     DimensionMismatch,
     NonFiniteInput,
     NotDensityOperator,
+    NotPositiveSemidefinite,
     NotSymmetric,
 )
 from helpers import (
@@ -84,6 +85,11 @@ class TestIsPsd:
     def test_small_negative_rejected(self):
         assert not psd.is_psd(np.diag([1.0, -1e-3]))
 
+    @pytest.mark.parametrize("exponent", range(-30, 31, 5))
+    def test_negative_eigenvalue_refused_at_every_scale(self, exponent):
+        # A given matrix is held to its own top eigenvalue, with no unit floor.
+        assert not psd.is_psd(10.0**exponent * np.diag([1.0, -1e-2]))
+
     def test_boundary_from_bisection_oracle(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -92,8 +98,11 @@ class TestIsPsd:
             if np.linalg.norm(a) < 1e-6:
                 continue
             k_star = bisect_max_strength(a, b)
-            assert psd.is_psd(b - k_star * a)
-            assert not psd.is_psd(b - k_star * (1 + 1e-4) * a)
+            # Decided by the order at the operands' scale: the bare
+            # difference is all round-off here, so no rule reading only it
+            # can decide.  k_star may exceed 1, past is_k_hyponym's range.
+            assert psd.loewner_leq(k_star * a, b)
+            assert not psd.loewner_leq(k_star * (1 + 1e-4) * a, b)
             checked += 1
 
 
@@ -118,6 +127,13 @@ class TestLoewner:
             c = b + random_psd(rng, 5)
             assert psd.loewner_leq(a, b) and psd.loewner_leq(b, c)
             assert psd.loewner_leq(a, c)
+
+    def test_requires_psd_operands(self):
+        indefinite = np.diag([1.0, -1.0])
+        with pytest.raises(NotPositiveSemidefinite, match="^A is not"):
+            psd.loewner_leq(indefinite, 2.0 * np.eye(2))
+        with pytest.raises(NotPositiveSemidefinite, match="^B is not"):
+            psd.loewner_leq(np.zeros((2, 2)), indefinite)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -480,3 +480,74 @@ class TestRelativeClause:
         difference = s2.matrix - s1.matrix / 6.0
         w = np.linalg.eigvalsh(difference)
         assert w[0] >= -1e-9
+
+
+def _top(*tensors):
+    return float(np.prod([t.spectrum.w[-1] for t in tensors]))
+
+
+def _zero_sum_legs(rng, size, rank):
+    """``rank`` random vectors of length ``size`` whose components sum to zero."""
+    legs = rng.normal(size=(size, rank))
+    return legs - legs.mean(axis=0)
+
+
+class TestScaleOfComposedMeanings:
+    """A composed meaning is checked at its operands' scale, not its own.
+
+    Each sentence here composes to zero: what is left is round-off at the
+    scale of the words, which no rule reading only the result can tell from
+    a real negative eigenvalue or asymmetry.
+    """
+
+    @pytest.mark.parametrize("exponent", range(-5, 6))
+    def test_subject_orthogonal_to_the_verb(self, exponent):
+        rng = np.random.default_rng(7100 + exponent)
+        n, s = 3, 2
+        c = 10.0**exponent
+        types = [parse_type(t) for t in ("n", "n.r s n.l", "n")]
+        pattern = reduce(types, parse_type("s"))
+        for _ in range(20):
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            # Every subject leg of the verb lies in the complement of u.
+            off_u = np.kron(np.eye(n) - np.outer(u, u), np.eye(s * n))
+            g = off_u @ rng.normal(size=(n * s * n, 2))
+            words = [
+                DensityTensor.from_matrix(c * np.outer(u, u), (n,)),
+                DensityTensor.from_matrix(c * (g @ g.T), (n, s, n)),
+                DensityTensor.from_matrix(c * random_psd(rng, n), (n,)),
+            ]
+            result = evaluate(list(zip(words, types)), pattern, {"n": n, "s": s})
+            assert np.abs(result.matrix).max() <= 1e-12 * _top(*words)
+
+    def test_iota_over_a_leg_that_sums_to_zero(self):
+        rng = np.random.default_rng(7200)
+        for _ in range(200):
+            kept, deleted = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            g = np.einsum(
+                "ir,jr->ijr", rng.normal(size=(kept, 3)), _zero_sum_legs(rng, deleted, 3)
+            ).reshape(kept * deleted, 3)
+            rho = DensityTensor.from_matrix(g @ g.T, (kept, deleted))
+            result = frobenius_iota(rho, 1)
+            assert result.spaces == (kept,)
+            assert np.abs(result.matrix).max() <= 1e-12 * _top(rho)
+
+    @pytest.mark.parametrize("c", [1e-4, 1.0, 1e4])
+    def test_relative_clause_whose_sentence_legs_sum_to_zero(self, c):
+        rng = np.random.default_rng(7300)
+        n, s = 3, 3
+        for _ in range(200):
+            g = np.einsum(
+                "ir,sr,jr->isjr",
+                rng.normal(size=(n, 2)),
+                _zero_sum_legs(rng, s, 2),
+                rng.normal(size=(n, 2)),
+            ).reshape(n * s * n, 2)
+            subj, verb, obj = (
+                DensityTensor.from_matrix(c * random_psd(rng, n), (n,)),
+                DensityTensor.from_matrix(c * (g @ g.T), (n, s, n)),
+                DensityTensor.from_matrix(c * random_psd(rng, n), (n,)),
+            )
+            result = relative_clause(subj, verb, obj)
+            assert np.abs(result.matrix).max() <= 1e-12 * _top(subj, verb, obj)
