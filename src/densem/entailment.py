@@ -8,15 +8,18 @@ matrix, validated and factorised by one symmetric eigensolve, or its
 :class:`~densem.psd.Spectrum`, which is not solved again.  ``B`` is factorised
 first, into its support eigenpairs ``U, L`` (after the rank cut).  The
 supports are contained when ``||A - U U^T A||`` is at most
-``COMPARE_RTOL * ||A||``, a test that needs no factorisation of ``A``; so
-``A``'s eigensolve, which also runs its PSD rule, asks for eigenvectors
-``V`` beside the eigenvalues ``M`` only when the supports are contained.
+``COMPARE_RTOL * ||A||``, a test that needs no factorisation of ``A`` (a
+``B`` of full rank contains every ``A`` and skips it); so ``A``'s
+eigensolve, which also runs its PSD rule, asks for eigenvectors ``V``
+beside the eigenvalues ``M`` only when the supports are contained.
 The top eigenvalue is then that of the ``r x r`` matrix ``X X^T`` with
 ``X = L^(-1/2) U^T V M^(1/2)``, which shares its nonzero spectrum with
 ``pinv(B) @ A``.  The same kernel takes a stacked factor of operands ``A``
 against one ``B``: ``disc_grid`` evaluates its whole lattice of disc
 states with one stacked eigensolve and one stacked ``r x r`` eigenvalue
-solve, whatever the resolution.
+solve, whatever the resolution.  Its states are symmetric and finite by
+construction and are not validated again; each target inside the disc has
+full rank and so contains every state.
 
 The module also provides the additive error decomposition ``A + D = B + E``
 for operators that are not comparable at any strength, the finite-set
@@ -54,7 +57,6 @@ from .psd import (
     _support,
     _sym,
     _symmetric,
-    _symmetrized,
 )
 
 # Cap on a disc lattice's points (resolution 1024), checked before any
@@ -64,9 +66,6 @@ MAX_DISC_POINTS = 2**20
 # x^2 + z^2 at most this is inside the closed unit disc; the slack keeps
 # lattice points on the edge that round-off pushes just outside.
 _DISC_EDGE = 1.0 + 1e-12
-
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 class Normalization(enum.Enum):
@@ -143,8 +142,12 @@ def _contained(A: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``||A - U U^T A||`` is at most ``COMPARE_RTOL * ||A||``, with each ``A`` in
     units of the least power of two above its largest entry: an exact scaling
     that keeps the squares in the norms from overflow and underflow at any
-    scale.  The zero operator stays contained.
+    scale.  The zero operator stays contained.  A square ``u`` (``B`` of full
+    rank) spans the space and contains every ``A``: the residual is then
+    round-off, far below the bound, so it is not computed.
     """
+    if u.shape[0] == u.shape[1]:
+        return np.ones(A.shape[:-2], dtype=bool)
     _, exponent = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
     A = np.ldexp(A, -exponent)
     residual = _frobenius(A - u @ (u.T @ A))
@@ -160,9 +163,11 @@ def _top_eigenvalue(a: Spectrum, support) -> np.ndarray:
     ``r x r`` eigenvalue solve.
     """
     lam, u = support
+    if not lam.size:  # B = 0 contains only A = 0
+        return np.zeros(a.w.shape[:-1])
     x = (u.T @ a.v) * np.sqrt(np.clip(a.w, 0.0, None))[..., None, :] / np.sqrt(lam)[:, None]
     w, _ = _eigensolve(_sym(x @ x.swapaxes(-1, -2)), vectors=False)
-    return w.max(axis=-1, initial=0.0)
+    return np.maximum(w[..., -1], 0.0)  # w ascends
 
 
 def supports_contained(a, b) -> bool:
@@ -296,10 +301,14 @@ def from_bloch(x: float, z: float) -> np.ndarray:
 
 
 def _bloch_states(x, z) -> np.ndarray:
-    """The states ``(I + x X + z Z) / 2``, stacked like the coordinates."""
-    x = np.asarray(x)[..., None, None]
-    z = np.asarray(z)[..., None, None]
-    return 0.5 * (np.eye(2) + x * _PAULI_X + z * _PAULI_Z)
+    """The states ``(I + x X + z Z) / 2``, exactly symmetric, stacked like ``x, z``."""
+    x, z = np.asarray(x), np.asarray(z)
+    states = np.empty(x.shape + (2, 2))
+    states[..., 0, 0] = 0.5 * (1.0 + z)
+    states[..., 1, 1] = 0.5 * (1.0 - z)
+    # + 0.0 makes -0.0 into 0.0, as the sum with the identity's zero does.
+    states[..., 0, 1] = states[..., 1, 0] = 0.5 * x + 0.0
+    return states
 
 
 def _qubit_density(matrix) -> Spectrum:
@@ -336,7 +345,9 @@ def disc_grid(target, resolution: int, strategy) -> list[tuple[float, float, flo
     before any array is built.  The lattice is evaluated as one stack of
     2x2 states: one eigensolve for the target, one stacked eigensolve over
     all disc points and, when any support is contained, one stacked
-    ``r x r`` eigenvalue solve.
+    ``r x r`` eigenvalue solve.  The states, symmetric and finite by
+    construction, get only the PSD rule.  A target inside the disc has full
+    rank and contains every state; only one on the edge runs the residual.
 
     Under ``maxeig`` both operators have top eigenvalue 1, so ``k = 1``
     exactly for the states that share the target's top eigenvector and are
@@ -360,9 +371,7 @@ def disc_grid(target, resolution: int, strategy) -> list[tuple[float, float, flo
     x, z = x[inside], z[inside]
     if not x.size:
         return []
-    states = _symmetrized(_bloch_states(x, z))
-    a = _normalize(_psd_spectrum(states, name="disc state"), strategy)
-    del states
+    a = _normalize(_psd_spectrum(_bloch_states(x, z), name="disc state"), strategy)
     support = _support(b)
     contained = _contained(a.matrix, support[1])
     k = np.zeros(x.shape)

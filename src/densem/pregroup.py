@@ -124,6 +124,12 @@ def reduce(
     preferred over survival, which makes the returned pattern the
     leftmost-innermost one and the search deterministic.
 
+    A contraction removes the exponents ``z`` and ``z + 1`` of one base, so
+    a segment that reduces to nothing has, for each base, a zero alternating
+    sum of ``(-1)^z``.  A partner whose enclosed segment fails that test
+    cannot succeed and is skipped, which leaves the pattern unchanged; the
+    test compares two prefix sums per base.
+
     ``derive`` yields each segment it needs, decided on an explicit stack (an
     empty one reduces only to nothing), so no recursion limit bounds the
     sentence.  A result is a tree ``(pair, inner, rest)``, or ``()``.
@@ -137,10 +143,15 @@ def reduce(
     if not n:
         return None if end else ReductionPattern(frozenset(), ())
     memo: dict[tuple[int, int, int], Optional[tuple]] = {}
+    sums = dict.fromkeys((s.base for s in flat), 0)
+    prefix = [tuple(sums.values())]  # prefix[k]: per-base sums of (-1)^z over flat[:k]
+    for s in flat:
+        sums[s.base] += -1 if s.z % 2 else 1
+        prefix.append(tuple(sums.values()))
 
     def derive(i: int, j: int, t: int):
         for m in range(i + 1, j, 2):
-            if not _contractible(flat[i], flat[m]):
+            if not _contractible(flat[i], flat[m]) or prefix[i + 1] != prefix[m]:
                 continue
             inner = yield (i + 1, m, end)
             if inner is None:

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
 
 from densem.lexicon import Lexicon
-from densem.pregroup import PregroupType, reduce as reduce_types
+from densem.pregroup import (
+    PregroupType,
+    ReductionPattern,
+    SimpleType,
+    flatten,
+    reduce as reduce_types,
+)
 from densem.semantics import DensityTensor, evaluate, word_meaning
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,6 +58,12 @@ def support_projector(m: np.ndarray) -> np.ndarray:
     _, v = _support(m)
     p = v @ v.T
     return 0.5 * (p + p.T)
+
+
+def contained_by_residual(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The plain containment rule over a stack of ``a``: ||A - U U^T A|| <= 1e-8 ||A||."""
+    residual = np.linalg.norm(a - u @ (u.T @ a), axis=(-2, -1))
+    return residual <= 1e-8 * np.linalg.norm(a, axis=(-2, -1))
 
 
 def nested_psd_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,3 +119,61 @@ def compose_sentence(lexicon: Lexicon, sentence: str, target: PregroupType) -> D
     assert pattern is not None, f"'{sentence}' must reduce to '{target}'"
     tensors = [(word_meaning(e, lexicon.spaces), e.type) for e in entries]
     return evaluate(tensors, pattern, lexicon.spaces)
+
+
+def grammatical_sentence(
+    rng: np.random.Generator, bases: str = "ns", pairs: int = 10
+) -> tuple[list[PregroupType], PregroupType]:
+    """A random word-type sequence built to reduce to a random target.
+
+    Starting from the target's simple types, each step inserts an adjacent
+    contractible pair ``b^z b^(z+1)`` at a random position, which keeps the
+    sequence reducible; the result is cut into words of 1 to 3 simple types.
+    """
+
+    def simple() -> SimpleType:
+        return SimpleType(bases[rng.integers(len(bases))], int(rng.integers(-2, 3)))
+
+    target = [simple() for _ in range(rng.integers(0, 3))]
+    flat = list(target)
+    for _ in range(rng.integers(1, pairs + 1)):
+        left = simple()
+        at = int(rng.integers(len(flat) + 1))
+        flat[at:at] = [left, SimpleType(left.base, left.z + 1)]
+    words, start = [], 0
+    while start < len(flat):
+        stop = start + int(rng.integers(1, 4))
+        words.append(PregroupType(tuple(flat[start:stop])))
+        start = stop
+    return words, PregroupType(tuple(target))
+
+
+def reduce_unpruned(sequence: list[PregroupType], target: PregroupType) -> ReductionPattern | None:
+    """The leftmost-innermost reduction by plain memoized recursion, with no pruning.
+
+    Partners are tried nearest-first and contraction before survival, as in
+    ``densem.pregroup.reduce``; for short sentences only.
+    """
+    flat, tgt = flatten(sequence), target.simples
+    end = len(tgt)
+
+    @functools.cache
+    def derive(i: int, j: int, t: int):
+        if i == j:
+            return () if t == end else None
+        for m in range(i + 1, j, 2):
+            if flat[i].base != flat[m].base or flat[m].z != flat[i].z + 1:
+                continue
+            inner = derive(i + 1, m, end)
+            rest = None if inner is None else derive(m + 1, j, t)
+            if rest is not None:
+                return ((i, m),) + inner + rest
+        if t < end and flat[i] == tgt[t]:
+            return derive(i + 1, j, t + 1)
+        return None
+
+    pairs = derive(0, len(flat), 0)
+    if pairs is None:
+        return None
+    matched = {p for pair in pairs for p in pair}
+    return ReductionPattern(frozenset(pairs), tuple(p for p in range(len(flat)) if p not in matched))

@@ -37,8 +37,14 @@ from densem.errors import (
     StrengthRangeError,
     ZeroOperatorError,
 )
-from densem.psd import Spectrum, loewner_leq, spectrum
-from helpers import FIXTURES, bisect_max_strength, nested_psd_pair, random_psd
+from densem.psd import Spectrum, _support, loewner_leq, spectrum
+from helpers import (
+    FIXTURES,
+    bisect_max_strength,
+    contained_by_residual,
+    nested_psd_pair,
+    random_psd,
+)
 
 BLOCK_A = np.diag([1.0, 1.0, 0.0])
 BLOCK_B = np.diag([1.0, 0.0, 1.0])
@@ -122,6 +128,8 @@ class TestKMax:
     def test_zero_operator_rejected(self):
         with pytest.raises(ZeroOperatorError):
             k_max(np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(ZeroOperatorError):
+            k_max(np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_certificate_brackets_the_maximum(self):
         rng = np.random.default_rng(54)
@@ -227,6 +235,31 @@ class TestScaleAndRotation:
             assert not supports_contained(a, c * b)
             assert not k_max(c * a, b).supports_contained
             assert not k_max(a, c * b).supports_contained
+
+
+class TestContainedAgreesWithTheResidualRule:
+    """``_contained`` skips the residual for a full-rank ``B``; its answers do not change."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("null", [0, 1])
+    def test_random_stacks(self, seed, null):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1 + null, 9))
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        # Eigenvalues from 1 down to 1e-9, all above the rank cut, and
+        # ``null`` zeros below it.
+        w = np.concatenate([np.logspace(0.0, -9.0, dim - null), np.zeros(null)])
+        _, u = _support(spectrum(10.0 ** rng.uniform(-30, 30) * (q * w) @ q.T))
+        assert u.shape == (dim, dim - null)
+        a = np.stack([
+            10.0 ** rng.uniform(-30, 30) * random_psd(rng, dim, int(rng.integers(0, dim + 1)))
+            for _ in range(16)
+        ] + [u @ random_psd(rng, dim - null) @ u.T])
+        contained = entailment._contained(a, u)
+        np.testing.assert_array_equal(contained, contained_by_residual(a, u))
+        if not null:
+            assert contained.all()
+            assert entailment._contained(np.zeros((dim, dim)), u)
 
 
 def _names(eigensolves):
@@ -558,6 +591,38 @@ class TestBloch:
             to_bloch(np.diag([2.0, 0.0]))
         with pytest.raises(NotDensityOperator):
             to_bloch(np.diag([1.5, -0.5]))
+
+
+class TestBlochStates:
+    """``_bloch_states`` fills the stack in place with the bits of ``(I + xX + zZ) / 2``."""
+
+    @staticmethod
+    def assert_reference_bits(got, x, z):
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+        pauli_x, pauli_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        expected = 0.5 * (np.eye(2) + x[..., None, None] * pauli_x + z[..., None, None] * pauli_z)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("resolution", [2, 3, 20, 21, 101])
+    def test_lattice(self, resolution):
+        axis = np.linspace(-1.0, 1.0, resolution)
+        x = np.concatenate([np.tile(axis, resolution), [-0.0, 0.0, -0.0, -0.0, 1.0, -1.0]])
+        z = np.concatenate([np.repeat(axis[::-1], resolution), [1.0, -1.0, -0.0, 0.0, -0.0, 0.0]])
+        self.assert_reference_bits(entailment._bloch_states(x, z), x, z)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        radius, angle = np.sqrt(rng.uniform(size=(7, 9))), rng.uniform(0.0, 2.0 * np.pi, (7, 9))
+        x, z = radius * np.cos(angle), radius * np.sin(angle)
+        self.assert_reference_bits(entailment._bloch_states(x, z), x, z)
+
+    @pytest.mark.parametrize(
+        "x, z", [(-0.0, 1.0), (-0.0, -1.0), (0.0, -0.0), (-0.0, -0.0), (0.6, -0.8), (-1.0, 0.0)]
+    )
+    def test_scalars_through_from_bloch(self, x, z):
+        self.assert_reference_bits(from_bloch(x, z), x, z)
 
 
 disc_targets = st.builds(
