@@ -2,16 +2,19 @@
 
 ``densem parse|compose|entail|disc`` with deterministic, byte-stable
 output (floats use 9 significant digits).  Exit codes: 0 success, 1 usage
-or schema error, 2 ungrammatical sentence, 3 numerical failure.
+or schema error, 2 ungrammatical sentence, 3 numerical failure.  Every
+error prints one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
+import sys
 import tempfile
 from typing import Optional, Sequence
 
-import click
 import numpy as np
 
 from . import __version__
@@ -24,53 +27,35 @@ from .entailment import (
     k_max,
     normalize,
 )
-from .errors import DensemError, OutputIOError, StructureMismatch, ZeroOperatorError
+from .errors import DensemError, OutputIOError, StructureMismatch, UsageError, ZeroOperatorError
 from .lexicon import compose_sentence, load_lexicon, word_product_bound
 from .pregroup import parse_type, reduce
 
-_NORMALIZE_CHOICE = click.Choice([n.value for n in Normalization])
-
 
 def _echo_matrix(matrix: np.ndarray) -> None:
-    click.echo(f"matrix {matrix.shape[0]}x{matrix.shape[1]}:")
+    print(f"matrix {matrix.shape[0]}x{matrix.shape[1]}:")
     for row in matrix:
-        click.echo(" ".join(format_float(v) for v in row))
+        print(" ".join(format_float(v) for v in row))
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="densem")
-def cli() -> None:
-    """Graded entailment for density-matrix sentence meanings."""
-
-
-@cli.command("parse")
-@click.option("--lexicon", "lexicon_path", required=True, type=click.Path(), help="Lexicon JSON file.")
-@click.option("--target", "target_text", default="s", show_default=True, help="Target type.")
-@click.argument("sentence")
 def cmd_parse(lexicon_path: str, target_text: str, sentence: str) -> int:
     """Report the type reduction of SENTENCE, if one exists."""
     lexicon = load_lexicon(lexicon_path)
     target = parse_type(target_text)
     entries = lexicon.lookup_sentence(sentence)
     types = [entry.type for entry in entries]
-    click.echo("types: " + " | ".join(str(t) for t in types))
+    print("types: " + " | ".join(str(t) for t in types))
     pattern = reduce(types, target)
     if pattern is None:
-        click.echo("grammatical: no")
+        print("grammatical: no")
         return 2
     matches = " ".join(f"({i},{j})" for i, j in sorted(pattern.matches))
-    click.echo(f"matches: {matches}".rstrip())
-    click.echo("survivors: " + " ".join(str(i) for i in pattern.survivors))
-    click.echo("grammatical: yes")
+    print(f"matches: {matches}".rstrip())
+    print("survivors: " + " ".join(str(i) for i in pattern.survivors))
+    print("grammatical: yes")
     return 0
 
 
-@cli.command("compose")
-@click.option("--lexicon", "lexicon_path", required=True, type=click.Path(), help="Lexicon JSON file.")
-@click.option("--target", "target_text", default="s", show_default=True, help="Target type.")
-@click.option("--normalize", "strategy", type=_NORMALIZE_CHOICE, default="none", show_default=True, help="Scaling applied to the composed matrix.")
-@click.option("--frobenius-pronouns", is_flag=True, help="Evaluate marked relative pronouns with the Frobenius recipe.")
-@click.argument("sentence")
 def cmd_compose(
     lexicon_path: str,
     target_text: str,
@@ -83,19 +68,13 @@ def cmd_compose(
     target = parse_type(target_text)
     tensor, _ = compose_sentence(lexicon, sentence, target, frobenius_pronouns)
     factor = normalize(tensor.spectrum, strategy)
-    click.echo(f"type: {target}")
+    print(f"type: {target}")
     _echo_matrix(factor.matrix)
-    click.echo("trace: " + format_float(float(np.trace(factor.matrix))))
-    click.echo("max_eigenvalue: " + format_float(float(factor.w.max())))
+    print("trace: " + format_float(float(np.trace(factor.matrix))))
+    print("max_eigenvalue: " + format_float(float(factor.w.max())))
     return 0
 
 
-@cli.command("entail")
-@click.option("--lexicon", "lexicon_path", required=True, type=click.Path(), help="Lexicon JSON file.")
-@click.option("--target", "target_text", default="s", show_default=True, help="Target type for both sentences.")
-@click.option("--normalize", "strategy", type=_NORMALIZE_CHOICE, default="none", show_default=True, help="Scaling applied to both composed matrices.")
-@click.argument("sentence_a")
-@click.argument("sentence_b")
 def cmd_entail(
     lexicon_path: str,
     target_text: str,
@@ -111,30 +90,24 @@ def cmd_entail(
     result = k_max(
         normalize(tensor_a.spectrum, strategy), normalize(tensor_b.spectrum, strategy)
     )
-    click.echo("supports_contained: " + ("yes" if result.supports_contained else "no"))
-    click.echo(
+    print("supports_contained: " + ("yes" if result.supports_contained else "no"))
+    print(
         "k_max: " + (format_float(result.k_max) if result.k_max is not None else "none")
     )
-    click.echo(
+    print(
         "raw_k: " + (format_float(result.raw_k) if result.raw_k is not None else "none")
     )
     try:
         bound = word_product_bound(lexicon, entries_a, entries_b)
     except StructureMismatch as exc:
-        click.echo(f"word_product_bound: unavailable ({exc})")
+        print(f"word_product_bound: unavailable ({exc})")
     except ZeroOperatorError:
-        click.echo("word_product_bound: unavailable (zero word meaning)")
+        print("word_product_bound: unavailable (zero word meaning)")
     else:
-        click.echo("word_product_bound: " + format_float(bound))
+        print("word_product_bound: " + format_float(bound))
     return 0
 
 
-@cli.command("disc")
-@click.option("--target-x", required=True, type=float, help="x coordinate of the target state.")
-@click.option("--target-z", required=True, type=float, help="z coordinate of the target state.")
-@click.option("--resolution", default=101, show_default=True, type=int, help="Lattice points per axis.")
-@click.option("--normalize", "strategy", type=_NORMALIZE_CHOICE, default="none", show_default=True, help="Scaling applied before each strength computation.")
-@click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV path.")
 def cmd_disc(
     target_x: float, target_z: float, resolution: int, strategy: str, out_path: str
 ) -> int:
@@ -155,27 +128,75 @@ def cmd_disc(
             raise
     except OSError as exc:
         raise OutputIOError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-    click.echo(f"rows: {len(rows)}")
+    print(f"rows: {len(rows)}")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises :class:`UsageError` and takes no
+    abbreviated option names."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # argparse's own test for a negative number, widened to any token
+        # that starts with '-' and a digit, as in Python 3.13, so that
+        # ``--target-x -1e-05`` reads the value.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="densem", description="Graded entailment for density-matrix sentence meanings.")
+    parser.add_argument("--version", action="version", version=f"densem, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, handler, target_help=None):
+        sub = commands.add_parser(name, help=handler.__doc__, description=handler.__doc__)
+        sub.set_defaults(handler=handler)
+        if target_help:
+            sub.add_argument("--lexicon", dest="lexicon_path", required=True, metavar="PATH", help="Lexicon JSON file.")
+            sub.add_argument("--target", dest="target_text", default="s", metavar="TEXT", help=f"{target_help}  [default: s]")
+        return sub
+
+    def normalize_option(sub, help):
+        choices = [n.value for n in Normalization]
+        sub.add_argument("--normalize", dest="strategy", choices=choices, default="none", help=f"{help}  [default: none]")
+
+    parse = command("parse", cmd_parse, "Target type.")
+    parse.add_argument("sentence", metavar="SENTENCE")
+
+    compose = command("compose", cmd_compose, "Target type.")
+    normalize_option(compose, "Scaling applied to the composed matrix.")
+    compose.add_argument("--frobenius-pronouns", action="store_true", help="Evaluate marked relative pronouns with the Frobenius recipe.")
+    compose.add_argument("sentence", metavar="SENTENCE")
+
+    entail = command("entail", cmd_entail, "Target type for both sentences.")
+    normalize_option(entail, "Scaling applied to both composed matrices.")
+    entail.add_argument("sentence_a", metavar="SENTENCE_A")
+    entail.add_argument("sentence_b", metavar="SENTENCE_B")
+
+    disc = command("disc", cmd_disc)
+    disc.add_argument("--target-x", required=True, type=float, metavar="FLOAT", help="x coordinate of the target state.")
+    disc.add_argument("--target-z", required=True, type=float, metavar="FLOAT", help="z coordinate of the target state.")
+    disc.add_argument("--resolution", default=101, type=int, metavar="INTEGER", help="Lattice points per axis.  [default: 101]")
+    normalize_option(disc, "Scaling applied before each strength computation.")
+    disc.add_argument("--out", dest="out_path", required=True, metavar="PATH", help="Output CSV path.")
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point with exit-code mapping; returns the exit code."""
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-        return int(result) if isinstance(result, int) else 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.exceptions.Abort:
-        return 1
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
+        args = vars(_parser().parse_args(argv))
+        return args.pop("handler")(**args)
+    except SystemExit as exc:  # --help and --version, after printing
+        return exc.code
+    except KeyboardInterrupt:
         return 1
     except DensemError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 
 

@@ -56,6 +56,10 @@ class TensorTooLarge(DensemError):
     """Dense tensor would exceed the supported size cap."""
 
 
+class ReductionTooLarge(DensemError):
+    """A type reduction search tried more candidate partners than its cap."""
+
+
 class EmptyProposition(DensemError):
     """Error size is undefined for an empty antecedent."""
 
@@ -104,6 +108,12 @@ class DuplicateWordError(SchemaError):
 
 class LexiconIOError(DensemError):
     """A lexicon file could not be read."""
+
+    exit_code = 1
+
+
+class UsageError(DensemError):
+    """A command line does not match the command-line syntax."""
 
     exit_code = 1
 

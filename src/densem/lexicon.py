@@ -93,7 +93,10 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 def _number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(path, "number too large for a float") from None
 
 
 def _parse_spaces(data, path: str) -> dict[str, int]:
@@ -128,7 +131,8 @@ def _parse_mixture(data, path: str, size: int) -> np.ndarray:
             f"expected length {size} for this word's type, got {len(values)}",
         )
         v = np.array(values)
-        matrix += weight * np.outer(v, v)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused when the tensor is built
+            matrix += weight * np.outer(v, v)
         total += weight
     _require(abs(total - 1.0) <= 1e-8, path, f"weights sum to {total!r}, expected 1")
     return matrix

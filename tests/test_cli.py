@@ -73,6 +73,19 @@ class TestParse:
         assert (code, err) == (0, "")
         assert out.endswith("survivors: 0\ngrammatical: yes\n")
 
+    def test_runaway_reduction_is_refused(self, capsys, tmp_path):
+        lexicon = {
+            "spaces": {"n": 1},
+            "words": [{"word": "a", "type": "n.l n", "meaning": {"matrix": [[1.0]]}}],
+        }
+        path = tmp_path / "balanced.json"
+        path.write_text(json.dumps(lexicon))
+        code, out, err = run(capsys, "parse", "--lexicon", str(path), "--target", "n", "a " * 400)
+        assert code == 3
+        assert out == "types: " + " | ".join(["n.l n"] * 400) + "\n"
+        assert err.startswith("error: type reduction of 800 simple types")
+        assert err.count("\n") == 1
+
     def test_missing_lexicon_exits_one(self, capsys):
         code, _, err = run(capsys, "parse", "--lexicon", "/nonexistent.json", "John")
         assert code == 1
@@ -498,6 +511,7 @@ EXIT_CODES = {
     "StrengthRangeError": 3,
     "PatternMismatch": 3,
     "TensorTooLarge": 3,
+    "ReductionTooLarge": 3,
     "EmptyProposition": 3,
     "OutsideDiscError": 1,
     "ResolutionError": 1,
@@ -505,6 +519,7 @@ EXIT_CODES = {
     "SchemaError": 1,
     "DuplicateWordError": 1,
     "LexiconIOError": 1,
+    "UsageError": 1,
     "OutputIOError": 1,
     "UnknownWordError": 1,
     "UngrammaticalSentence": 2,
@@ -533,6 +548,13 @@ class TestExitCodes:
         assert (out, err) == ("", "error: boom\n")
 
 
+def _child_env():
+    """The environment for a child process that imports densem from this source tree."""
+    src = str(Path(densem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestUsage:
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "parse", "John kicks cats")
@@ -543,10 +565,47 @@ class TestUsage:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["parse", "John kicks cats"], ["--lexicon"]),
+            (["compose", "--lexicon", KICKS, "--normalize", "foo", "John"], ["--normalize", "foo"]),
+            (["disc", "--target-x", "abc", "--target-z", "0", "--out", "x.csv"], ["--target-x", "abc"]),
+            (
+                ["disc", "--target-x", "0", "--target-z", "0", "--resolution", "1.5", "--out", "x.csv"],
+                ["--resolution", "1.5"],
+            ),
+            (["parse", "--lexicon", KICKS, "--targ", "n", "John"], ["--targ"]),
+            (["frobnicate"], ["frobnicate"]),
+            ([], ["command"]),
+        ],
+        ids=["missing-lexicon", "normalize-foo", "target-x-abc", "resolution-1.5",
+             "abbreviation", "unknown-command", "no-command"],
+    )
+    def test_usage_error_is_one_line_naming_the_offender(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for name in names:
+            assert name in err.lower()
+
+    def test_negative_values_in_exponent_form(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "disc", "--target-x", "-1e-05", "--target-z", "-0.3",
+            "--resolution", "3", "--out", str(out),
+        )
+        assert (code, stdout, err) == (0, "rows: 5\n", "")
+
+    def test_version(self, capsys):
+        assert run(capsys, "--version") == (0, "densem, version 0.1.0\n", "")
+
+    def test_command_help_exits_zero(self, capsys):
+        code, out, err = run(capsys, "parse", "--help")
+        assert (code, err) == (0, "")
+        assert "--lexicon" in out and "--target" in out
+
     def test_module_invocation(self):
-        # the child imports densem from the same source tree as this process
-        src = str(Path(densem.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [
                 sys.executable,
@@ -559,10 +618,36 @@ class TestUsage:
             ],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_child_env(),
         )
         assert result.returncode == 0
         assert "grammatical: yes" in result.stdout
+
+    def test_overflowing_lexicon_prints_only_the_error(self, tmp_path):
+        lexicon = {
+            "spaces": {"n": 2},
+            "words": [{"word": "a", "type": "n",
+                       "meaning": {"pure_mixture": [{"weight": 1.0, "vector": [1e200, 1e200]}]}}],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(lexicon))
+        result = subprocess.run(
+            [sys.executable, "-m", "densem", "parse", "--lexicon", str(path), "--target", "n", "a"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: words[0].meaning: matrix contains NaN or Inf entries\n"
+
+    def test_cli_import_leaves_click_out(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, densem.cli; print('click' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (result.returncode, result.stdout) == (0, "False\n")
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -1,6 +1,7 @@
 """Tests for lexicon loading and schema validation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,34 @@ class TestSchema:
         with pytest.raises(SchemaError) as excinfo:
             parse_lexicon(doc)
         assert excinfo.value.path == "words[0].meaning.pure_mixture[0].vector"
+
+    @pytest.mark.parametrize(
+        "meaning, path",
+        [
+            ({"pure_mixture": [{"weight": 1.0, "vector": [1, 10**400]}]}, "pure_mixture[0].vector[1]"),
+            ({"pure_mixture": [{"weight": 10**400, "vector": [1, 0]}]}, "pure_mixture[0].weight"),
+            ({"matrix": [[1.0, 0.0], [0.0, 10**400]]}, "matrix[1][1]"),
+        ],
+        ids=["vector", "weight", "matrix"],
+    )
+    def test_number_too_large_for_a_float(self, meaning, path):
+        doc = minimal_doc()
+        doc["words"][0]["meaning"] = meaning
+        with pytest.raises(SchemaError) as excinfo:
+            parse_lexicon(doc)
+        assert excinfo.value.path == f"words[0].meaning.{path}"
+
+    def test_overflowing_mixture_fails_without_a_warning(self):
+        doc = minimal_doc()
+        doc["words"][0]["meaning"] = {
+            "pure_mixture": [{"weight": 1.0, "vector": [1e200, 1e200]}]
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as excinfo:
+                parse_lexicon(doc)
+        assert excinfo.value.path == "words[0].meaning"
+        assert "NaN or Inf" in str(excinfo.value)
 
     def test_matrix_must_be_psd(self):
         doc = minimal_doc()
